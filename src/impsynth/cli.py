@@ -181,13 +181,20 @@ def _load_program(args: argparse.Namespace,
     return parse_term(text, universe), universe
 
 
-def _parse_numbers(raw: Iterable[str], want: int, what: str) -> list[int]:
+def _parse_ints(raw: Iterable[str]) -> list[int]:
+    """Decimal integers, or hexadecimal ones with the 0x prefix `--hex` prints."""
     values = []
     for piece in raw:
+        base = 16 if piece.lstrip("+-")[:2].lower() == "0x" else 10
         try:
-            values.append(int(piece, 10))
+            values.append(int(piece, base))
         except ValueError:
             raise _UsageError(f"bad integer {piece!r}") from None
+    return values
+
+
+def _parse_numbers(raw: Iterable[str], want: int, what: str) -> list[int]:
+    values = _parse_ints(raw)
     if len(values) != want:
         raise _UsageError(f"{what} takes exactly {want} integers, "
                           f"got {len(values)}")
@@ -270,14 +277,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         return 0
     if not args.values:
         raise _UsageError("encode --as seq needs --values \"n1 n2 ...\"")
-    pieces = args.values.replace(",", " ").split()
-    entries = []
-    for piece in pieces:
-        try:
-            entries.append(int(piece, 10))
-        except ValueError:
-            raise _UsageError(f"bad integer {piece!r}") from None
-    pair = encode_seq(entries)
+    pair = encode_seq(_parse_ints(args.values.replace(",", " ").split()))
     _emit(args,
           {"as": "seq", "a": str(pair.a), "b": str(pair.b),
            "length": pair.length},
@@ -480,6 +480,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # Wiring
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_program_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--program", metavar="FILE",
                      help="file holding the program text")
@@ -495,8 +506,6 @@ def _build_parser() -> _Parser:
                         help="print one JSON object instead of text")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress secondary output lines")
-    parser.add_argument("--seed", type=int, metavar="N", default=0,
-                        help="seed for randomized demos (reserved)")
     parser.add_argument("--hex", action="store_true",
                         help="print large integers in hexadecimal")
     # The same flags are accepted after the subcommand; SUPPRESS keeps a
@@ -522,7 +531,7 @@ def _build_parser() -> _Parser:
     _add_program_args(p)
     p.add_argument("--state", required=True, metavar="BINDINGS",
                    help='input state, e.g. "x=3,y=0"')
-    p.add_argument("--fuel", type=int, default=10_000, metavar="N",
+    p.add_argument("--fuel", type=_int_at_least(0), default=10_000, metavar="N",
                    help="step budget (default 10000)")
     p.set_defaults(func=_cmd_run)
 
@@ -554,7 +563,7 @@ def _build_parser() -> _Parser:
                         help="emit an evidence certificate for one run")
     _add_program_args(p)
     p.add_argument("--state", required=True, metavar="BINDINGS")
-    p.add_argument("--fuel", type=int, default=10_000, metavar="N")
+    p.add_argument("--fuel", type=_int_at_least(0), default=10_000, metavar="N")
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("check-cert", parents=[common],
@@ -567,16 +576,16 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("synth", parents=[common], help="search a grammar for a term")
     p.add_argument("--problem", required=True, metavar="FILE")
-    p.add_argument("--size-budget", required=True, type=int, metavar="N")
-    p.add_argument("--fuel", type=int, default=2 ** 16, metavar="N",
+    p.add_argument("--size-budget", required=True, type=_int_at_least(1), metavar="N")
+    p.add_argument("--fuel", type=_int_at_least(0), default=2 ** 16, metavar="N",
                    help="fuel cap for grammars with loops")
     p.set_defaults(func=_cmd_synth)
 
     p = subs.add_parser("cegis", parents=[common], help="counterexample-guided search")
     p.add_argument("--problem", required=True, metavar="FILE")
-    p.add_argument("--rounds", required=True, type=int, metavar="R")
-    p.add_argument("--size-budget", required=True, type=int, metavar="N")
-    p.add_argument("--fuel", type=int, default=1024, metavar="N")
+    p.add_argument("--rounds", required=True, type=_int_at_least(1), metavar="R")
+    p.add_argument("--size-budget", required=True, type=_int_at_least(1), metavar="N")
+    p.add_argument("--fuel", type=_int_at_least(0), default=1024, metavar="N")
     p.add_argument("--seed", dest="seed_states", action="append",
                    metavar="BINDINGS",
                    help='seed example state, e.g. "x=0,y=0" (repeatable)')
@@ -600,6 +609,12 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EX_USAGE
+    # Certificates run to tens of thousands of digits, past Python's default
+    # limit on int-string conversion.  The limit is lifted for this call
+    # only, because tests and other callers run main in their own process.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _UsageError as err:
@@ -614,6 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {err}", file=sys.stderr)
         return EX_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -22,14 +22,16 @@ from typing import Iterator
 from .terms import (
     OP_TABLE,
     Sort,
+    SortError,
     Term,
     TermError,
     VarUniverse,
     is_variable_name,
     op_info,
+    operand_sorts,
+    sort_fits,
     term_height,
     to_prefix,
-    widened_operands,
 )
 
 NULL_NT = "NullNT"
@@ -92,20 +94,17 @@ class Rtg:
                 raise GrammarError(
                     f"production {p} of {nt}: variable {p.op!r} not in universe"
                 )
-        info = op_info(p.op)
-        if len(p.operands) == info.arity:
-            slots = info.operands
-        elif len(p.operands) == 2 and info.arity < 2 and p.op != "null":
-            slots = widened_operands(info)
-        else:
-            raise GrammarError(f"production {p} of {nt}: arity mismatch")
+        try:
+            slots = operand_sorts(p.op, len(p.operands))
+        except SortError:
+            raise GrammarError(f"production {p} of {nt}: arity mismatch") from None
         for operand_nt, want in zip(p.operands, slots):
             if operand_nt not in by_nt:
                 raise GrammarError(
                     f"production {p} of {nt}: undeclared nonterminal {operand_nt!r}"
                 )
             for got in self._result_sorts(by_nt[operand_nt]):
-                if not (got is want or (got is Sort.VAR and want is Sort.EXPR)):
+                if not sort_fits(got, want):
                     raise GrammarError(
                         f"production {p} of {nt}: operand {operand_nt!r} can "
                         f"derive sort {got.value} where {want.value} is needed"
@@ -339,21 +338,16 @@ def to_bin_form(g: Rtg) -> Rtg:
         raise GrammarError("grammar is already a padded binary form")
     if NULL_NT in g._by_nt:
         raise GrammarError(f"nonterminal name {NULL_NT} is reserved")
-    widened: list[tuple[str, int]] = []
     new_rules = []
     for nt, prods in g.rules:
         out = []
         for p in prods:
             if p.op in ("nop", "null"):
                 raise GrammarError("plain grammar must not use padding operators")
-            want = op_info(p.op).arity
-            if want < 2:
-                out.append(Production(p.op, p.operands + (NULL_NT,) * (2 - want)))
-                if (p.op, want) not in widened:
-                    widened.append((p.op, want))
-            else:
-                out.append(p)
+            pad = 2 - op_info(p.op).arity
+            out.append(Production(p.op, p.operands + (NULL_NT,) * pad))
         new_rules.append((nt, tuple(out)))
+    widened = _infer_widened(tuple(new_rules))
     new_rules.append(
         (NULL_NT, (Production("null"), Production("nop", (NULL_NT, NULL_NT))))
     )
@@ -361,7 +355,7 @@ def to_bin_form(g: Rtg) -> Rtg:
         universe=g.universe,
         start=g.start,
         rules=tuple(new_rules),
-        binform=BinformTag(tuple(widened)),
+        binform=BinformTag(widened),
     )
 
 

@@ -26,6 +26,7 @@ fuel cost.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Protocol, Union
 
@@ -135,9 +136,36 @@ def _skip_padding(t: Term, path: int, tracer: Tracer | None) -> None:
         _skip(t.children[i], _child(path, i), tracer)
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _div(a: int, b: int) -> int:
+    """Quotient truncated toward zero; a zero divisor faults."""
+    if b == 0:
+        raise _FaultSignal("div0")
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+# The meaning of every literal and value operator, stated once.  The
+# evaluator, the certificate checker and the search engines all read these
+# two tables; an operator faults by raising _FaultSignal.
+LITERALS: dict[str, Union[int, bool]] = {"0": 0, "1": 1, "true": True, "false": False}
+VALUE_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "<": operator.lt,
+    "=": operator.eq,
+    "and": lambda a, b: a and b,
+    "not": operator.not_,
+}
+
+
+def apply_op(op: str, *args):
+    """Value of a value operator on real operands; None when it faults."""
+    try:
+        return VALUE_OPS[op](*args)
+    except _FaultSignal:
+        return None
 
 
 def _run(
@@ -211,47 +239,26 @@ def _run_value(
 ) -> _Internal:
     op = t.op
     kids = t.children
-    if op == "null":
-        return EMPTY
-    if op == "nop":
+    if t.sort is Sort.NULL:
         for i, c in enumerate(kids):
             _skip(c, _child(path, i), tracer)
         return EMPTY
-    if op == "0" or op == "1":
+    if op in LITERALS:
         _skip_padding(t, path, tracer)
-        return int(op)
-    if op == "true" or op == "false":
-        _skip_padding(t, path, tracer)
-        return op == "true"
+        return LITERALS[op]
     if t.sort is Sort.VAR:
         _skip_padding(t, path, tracer)
         return sigma.get(op)
     if op == "not":
         v = _run(kids[0], sigma, budget, tracer, _child(path, 0))
         _skip_padding(t, path, tracer)
-        return EMPTY if v is EMPTY else not v
+        return EMPTY if v is EMPTY else VALUE_OPS[op](v)
     # strict binary operators, left to right
     a = _run(kids[0], sigma, budget, tracer, _child(path, 0))
     b = _run(kids[1], sigma, budget, tracer, _child(path, 1))
     if a is EMPTY or b is EMPTY:
         return EMPTY
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise _FaultSignal("div0")
-        return _trunc_div(a, b)
-    if op == "<":
-        return a < b
-    if op == "=":
-        return a == b
-    if op == "and":
-        return a and b
-    raise AssertionError(f"unhandled operator {op!r}")
+    return VALUE_OPS[op](a, b)
 
 
 def _wrap(t: Term, v: _Internal) -> EvalOutcome:

@@ -42,13 +42,15 @@ from .grammar import (
 )
 from .semantics import (
     FUEL_EXHAUSTED,
+    LITERALS,
+    VALUE_OPS,
     BoolValue,
     EvalOutcome,
     Fault,
     StateOut,
     Value,
+    apply_op,
     eval_term,
-    _trunc_div,
 )
 from .spec_lang import Predicate, SpecError, predicate_from_sexp
 from .terms import (
@@ -298,6 +300,21 @@ def _check_one(f: Term, problem: SynthesisProblem, sigma: State,
     return problem.spec.holds(sigma, f, out)
 
 
+def _check_all(f: Term, problem: SynthesisProblem, states: Sequence[State],
+               fuel: int, stats: SearchStats) -> bool | None:
+    """Verdict for every state: False at the first refutation, None when
+    some run ran out of fuel and none refuted, True otherwise."""
+    ok: bool | None = True
+    for sigma in states:
+        stats.evaluations += 1
+        verdict = _check_one(f, problem, sigma, fuel)
+        if verdict is None:
+            ok = None
+        elif not verdict:
+            return False
+    return ok
+
+
 def verify(f: Term, problem: SynthesisProblem, fuel: int) -> VerifyResult:
     """Check ``f`` against every state of the problem's domain.
 
@@ -355,25 +372,37 @@ def synthesize_loop_free(problem: SynthesisProblem,
         raise SynthesisError(
             "grammar contains `while`; use synthesize_pbe, which interleaves "
             "fuel budgets")
-    stats = SearchStats()
-    states = tuple(problem.domain.states())
-    for f in enumerate_terms(problem.grammar, size_budget):
+    return _scan(problem, tuple(problem.domain.states()), size_budget,
+                 SearchStats())
+
+
+def _scan(problem: SynthesisProblem, states: tuple[State, ...],
+          size_budget: int, stats: SearchStats,
+          cap: int | None = None) -> SynthesisResult | None:
+    """Size-ordered scan for the first term that meets the predicate on
+    every state; with no states the first term of the language wins.
+
+    Every term must finish within ``term_size + 1`` fuel, which holds in
+    a loop-free grammar and trivially with no states.  Returns None when
+    ``cap`` candidates were checked before the language (restricted to
+    the budget) was exhausted: no verdict either way.
+    """
+    for count, f in enumerate(enumerate_terms(problem.grammar, size_budget),
+                              1):
+        if cap is not None and count > cap:
+            return None
         stats.candidates += 1
         fuel = term_size(f) + 1
-        stats.fuel_limit = max(stats.fuel_limit, fuel)
-        ok = True
-        for sigma in states:
-            stats.evaluations += 1
-            verdict = _check_one(f, problem, sigma, fuel)
-            assert verdict is not None, "loop-free evaluation ran out of fuel"
-            if not verdict:
-                ok = False
-                break
-        if ok:
+        if states:  # only fuel some run was given counts
+            stats.fuel_limit = max(stats.fuel_limit, fuel)
+        verdict = _check_all(f, problem, states, fuel, stats)
+        assert verdict is not None, "loop-free evaluation ran out of fuel"
+        if verdict:
             return Realized(f, stats)
-    return _exhausted_verdict(problem, size_budget, stats,
-                              "all were checked and none satisfies the "
-                              "predicate")
+    return _exhausted_verdict(
+        problem, size_budget, stats,
+        "all were checked and none satisfies the predicate" if states
+        else "the language has no term within the budget")
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +444,7 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
         for i, f in enumerate(pool[:want]):
             if i in refuted:
                 continue
-            ok = True
-            for sigma in examples:
-                stats.evaluations += 1
-                verdict = _check_one(f, problem, sigma, min(fuel, fuel_cap))
-                if verdict is None:
-                    ok = None
-                elif not verdict:
-                    ok = False
-                    break
+            ok = _check_all(f, problem, examples, min(fuel, fuel_cap), stats)
             if ok is True:
                 return Realized(f, stats)
             if ok is False:
@@ -469,9 +490,12 @@ class _ClassEnumerator:
 
     # -- signature algebra --------------------------------------------------
 
-    def _values(self, sig: object) -> tuple | None:
-        """Per-example integer view of an expression-like signature."""
+    def _values(self, sig: object, sort: Sort) -> tuple | None:
+        """Per-example values of a signature in an operand slot of ``sort``;
+        None when the signature cannot fill that slot."""
         kind = sig[0]
+        if sort is Sort.BOOL:
+            return sig[1] if kind == "b" else None
         if kind == "e":
             return sig[1]
         if kind == "v":
@@ -480,67 +504,32 @@ class _ClassEnumerator:
         return None
 
     def _leaf_sig(self, op: str) -> object | None:
-        k = len(self.examples)
-        if op == "0":
-            return ("e", (0,) * k)
-        if op == "1":
-            return ("e", (1,) * k)
-        if op == "true":
-            return ("b", (True,) * k)
-        if op == "false":
-            return ("b", (False,) * k)
+        if op in LITERALS:
+            kind = "b" if op_info(op).sort is Sort.BOOL else "e"
+            return (kind, (LITERALS[op],) * len(self.examples))
         if op_info(op).sort is Sort.VAR:
             return ("v", op)
         return None
 
     def _compose(self, op: str, child_sigs: tuple[object, ...]) -> object | None:
-        if op in ("+", "-", "*", "/"):
-            va, vb = self._values(child_sigs[0]), self._values(child_sigs[1])
-            if va is None or vb is None:
-                return None
+        if op in VALUE_OPS:
+            info = op_info(op)
+            columns = []
+            for sig, sort in zip(child_sigs, info.operands):
+                values = self._values(sig, sort)
+                if values is None:
+                    return None
+                columns.append(values)
             out = []
-            for a, b in zip(va, vb):
-                if a is _FAULTED or b is _FAULTED:
-                    out.append(_FAULTED)
-                elif op == "+":
-                    out.append(a + b)
-                elif op == "-":
-                    out.append(a - b)
-                elif op == "*":
-                    out.append(a * b)
-                elif b == 0:
-                    out.append(_FAULTED)
-                else:
-                    out.append(_trunc_div(a, b))
-            return ("e", tuple(out))
-        if op in ("<", "="):
-            va, vb = self._values(child_sigs[0]), self._values(child_sigs[1])
-            if va is None or vb is None:
-                return None
-            out = [
-                _FAULTED if a is _FAULTED or b is _FAULTED
-                else (a < b if op == "<" else a == b)
-                for a, b in zip(va, vb)]
-            return ("b", tuple(out))
-        if op == "not":
-            (sig,) = child_sigs
-            if sig[0] != "b":
-                return None
-            return ("b", tuple(_FAULTED if x is _FAULTED else not x
-                               for x in sig[1]))
-        if op == "and":
-            sa, sb = child_sigs
-            if sa[0] != "b" or sb[0] != "b":
-                return None
-            out = [
-                _FAULTED if a is _FAULTED or b is _FAULTED else (a and b)
-                for a, b in zip(sa[1], sb[1])]
-            return ("b", tuple(out))
+            for args in zip(*columns):
+                value = _FAULTED if _FAULTED in args else apply_op(op, *args)
+                out.append(_FAULTED if value is None else value)
+            return ("b" if info.sort is Sort.BOOL else "e", tuple(out))
         if op == ":=":
             target_sig, value_sig = child_sigs
             if target_sig[0] != "v":
                 return None
-            values = self._values(value_sig)
+            values = self._values(value_sig, Sort.EXPR)
             if values is None:
                 return None
             name = target_sig[1]
@@ -738,41 +727,10 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
     if not member(g, candidate):
         return None
     fuel = term_size(candidate) + 1
-    for sigma in examples:
-        stats.evaluations += 1
-        if not _check_one(candidate, problem, sigma, fuel):
-            return None
+    if not _check_all(candidate, problem, examples, fuel, stats):
+        return None
     stats.fuel_limit = max(stats.fuel_limit, fuel)
     return Realized(candidate, stats)
-
-
-def _capped_scan(problem: SynthesisProblem, size_budget: int, cap: int,
-                 stats: SearchStats) -> SynthesisResult | None:
-    """Loop-free exhaustive scan that gives up after ``cap`` candidates.
-
-    Returns None when the cap was hit before the language (restricted to
-    the budget) was exhausted — i.e. no verdict either way.
-    """
-    states = tuple(problem.domain.states())
-    count = 0
-    for f in enumerate_terms(problem.grammar, size_budget):
-        count += 1
-        if count > cap:
-            return None
-        stats.candidates += 1
-        fuel = term_size(f) + 1
-        stats.fuel_limit = max(stats.fuel_limit, fuel)
-        ok = True
-        for sigma in states:
-            stats.evaluations += 1
-            if not _check_one(f, problem, sigma, fuel):
-                ok = False
-                break
-        if ok:
-            return Realized(f, stats)
-    return _exhausted_verdict(problem, size_budget, stats,
-                              "all were checked and none satisfies the "
-                              "predicate")
 
 
 # ---------------------------------------------------------------------------
@@ -782,21 +740,16 @@ def _capped_scan(problem: SynthesisProblem, size_budget: int, cap: int,
 def _pbe_step(problem: SynthesisProblem, examples: tuple[State, ...],
               size_budget: int, fuel: int, engine: str) -> SynthesisResult:
     """Synthesize against the current example set."""
+    stats = SearchStats()
     if not examples:
         # Zero examples: any term of the language is vacuously correct.
-        stats = SearchStats()
-        for f in enumerate_terms(problem.grammar, size_budget):
-            stats.candidates += 1
-            return Realized(f, stats)
-        return _exhausted_verdict(problem, size_budget, stats,
-                                  "the language has no term within the budget")
+        return _scan(problem, (), size_budget, stats)
     sub = SynthesisProblem(problem.grammar, Finite(examples), problem.spec,
                            problem.mode)
     loop_free = not _grammar_has_op(problem.grammar, "while")
     if engine == "dovetail" or not loop_free:
         return synthesize_pbe(sub, size_budget, fuel_cap=fuel)
-    stats = SearchStats()
-    result = _capped_scan(sub, size_budget, _SCAN_CAP, stats)
+    result = _scan(sub, examples, size_budget, stats, cap=_SCAN_CAP)
     if result is not None:
         return result
     fallback = _decision_list_pbe(sub, size_budget, stats)
@@ -857,7 +810,7 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
                 stats), state()
         candidate = step.term
         verdict = verify(candidate, problem, fuel)
-        stats.evaluations += _domain_size_or(problem.domain, 0)
+        stats.evaluations += problem.domain.size()
         stats.fuel_limit = max(stats.fuel_limit, fuel)
         if isinstance(verdict, Verified):
             history.append((candidate, None))
@@ -873,13 +826,6 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
         examples.append(cex)
     return BudgetExhausted(
         f"no convergence within {round_budget} rounds", stats), state()
-
-
-def _domain_size_or(domain: Domain, default: int) -> int:
-    try:
-        return domain.size()
-    except (OverflowError, MemoryError):  # pragma: no cover
-        return default
 
 
 # ---------------------------------------------------------------------------
@@ -935,23 +881,12 @@ def largest_constant(t: Term) -> int | None:
 
 
 def _const_value(t: Term) -> int | None:
-    if t.op == "0":
-        return 0
-    if t.op == "1":
-        return 1
+    if t.op in LITERALS:
+        return LITERALS[t.op]
     values = [_const_value(c) for c in t.children]
     if any(v is None for v in values):
         return None
-    a, b = values
-    if t.op == "+":
-        return a + b
-    if t.op == "-":
-        return a - b
-    if t.op == "*":
-        return a * b
-    if t.op == "/":
-        return None if b == 0 else _trunc_div(a, b)
-    return None
+    return apply_op(t.op, *values)
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,23 @@ def op_info(op: str) -> OpInfo:
     raise SortError(f"unknown operator {op!r}")
 
 
-def widened_operands(info: OpInfo) -> tuple[Sort, ...]:
-    # Fill missing slots on the right with Null padding; binary ops are
-    # their own widened form.
-    return info.operands + (Sort.NULL,) * (2 - info.arity)
+def operand_sorts(op: str, n: int) -> tuple[Sort, ...]:
+    """Sorts of the operand slots of `op` applied to `n` children.
+
+    `n` is the plain arity or, for an operator of arity below two other
+    than `null`, two: the widened form fills the missing slots on the
+    right with Null padding.
+    """
+    info = op_info(op)
+    if n == info.arity:
+        return info.operands
+    if n == 2 and info.arity < 2 and op != "null":
+        return info.operands + (Sort.NULL,) * (2 - info.arity)
+    raise SortError(f"operator {op!r} takes {info.arity} operands, got {n}")
 
 
-def _fits(actual: Sort, expected: Sort) -> bool:
+def sort_fits(actual: Sort, expected: Sort) -> bool:
+    # a variable may stand wherever an expression is expected
     return actual is expected or (actual is Sort.VAR and expected is Sort.EXPR)
 
 
@@ -124,23 +134,14 @@ class Term:
     sort: Sort = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        info = op_info(self.op)
-        got = tuple(c.sort for c in self.children)
-        if len(got) == info.arity:
-            expected = info.operands
-        elif len(got) == 2 and info.arity < 2 and self.op != "null":
-            expected = widened_operands(info)
-        else:
-            raise SortError(
-                f"operator {self.op!r} takes {info.arity} operands, got {len(got)}"
-            )
-        for child_sort, want in zip(got, expected):
-            if not _fits(child_sort, want):
+        for child, want in zip(self.children,
+                               operand_sorts(self.op, len(self.children))):
+            if not sort_fits(child.sort, want):
                 raise SortError(
-                    f"operand of {self.op!r} has sort {child_sort.value}, "
+                    f"operand of {self.op!r} has sort {child.sort.value}, "
                     f"expected {want.value}"
                 )
-        object.__setattr__(self, "sort", info.sort)
+        object.__setattr__(self, "sort", op_info(self.op).sort)
 
     @property
     def is_padded(self) -> bool:

@@ -57,14 +57,16 @@ from .codec import (
 )
 from .semantics import (
     FUEL_EXHAUSTED,
+    LITERALS,
     Budget,
     Fault,
     FuelExhausted,
     _FaultSignal,
     _OutOfFuel,
     _run,
+    apply_op,
 )
-from .terms import EMPTY, EmptyState, Sort, State, Term, VarUniverse
+from .terms import EMPTY, EmptyState, Sort, State, Term, VarUniverse, op_info
 
 ValueEntry = Union[int, bool, EmptyState]
 StateEntry = Union[State, EmptyState]
@@ -216,8 +218,6 @@ def build_value_tree(
 # --------------------------------------------------------------------------
 # Local checks
 
-_LITERALS = {"0": 0, "1": 1, "true": True, "false": False}
-
 
 def _value_equal(a, b) -> bool:
     if a is EMPTY or b is EMPTY:
@@ -251,41 +251,16 @@ def check_leaf(
     if len(p.entries) != len(inputs):
         return False
     for entry, sigma in zip(p.entries, inputs):
-        if op == "null":
+        if op == "null" or sigma is EMPTY:
             if entry is not EMPTY:
                 return False
-        elif sigma is EMPTY:
-            if entry is not EMPTY:
-                return False
-        elif op in _LITERALS:
-            if not _value_equal(entry, _LITERALS[op]):
+        elif op in LITERALS:
+            if not _value_equal(entry, LITERALS[op]):
                 return False
         else:  # variable
             if not _value_equal(entry, sigma.get(op)):
                 return False
     return True
-
-
-def _pure_op(op: str, a, b):
-    """Value of a strict binary operator, None when undefined (fault)."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            return None
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    if op == "<":
-        return a < b
-    if op == "=":
-        return a == b
-    if op == "and":
-        return a and b
-    raise ValueTreeError(f"unknown binary operator {op!r}")
 
 
 def check_node(
@@ -303,8 +278,6 @@ def check_node(
     read off the input, not off the padding children); `target` names
     the variable written by an assignment.
     """
-    from .terms import op_info
-
     arity = op_info(op).arity
 
     if op in ("nop", "null") or op_info(op).sort in (Sort.EXPR, Sort.VAR, Sort.BOOL):
@@ -321,30 +294,20 @@ def check_node(
         for c in pads:
             if len(c.entries) != n or any(e is not EMPTY for e in c.entries):
                 return False
+        if any(len(c.entries) != n for c in reals):
+            return False
         if op == "nop" or op == "null":
-            if any(len(c.entries) != n for c in reals):
-                return False
             return all(e is EMPTY for e in p.entries)
         if arity == 0:
             # widened literal or variable: value comes from the input state
             if inputs is None:
                 raise ValueTreeError(f"check of widened {op!r} needs input states")
             return check_leaf(op, parent, list(inputs))
-        if any(len(c.entries) != n for c in reals):
-            return False
-        if op == "not":
-            (c,) = reals
-            for pe, ce in zip(p.entries, c.entries):
-                want = EMPTY if ce is EMPTY else not ce
-                if not _value_equal(pe, want):
-                    return False
-            return True
-        a, b = reals
-        for pe, ae, be in zip(p.entries, a.entries, b.entries):
-            if ae is EMPTY or be is EMPTY:
+        for pe, *args in zip(p.entries, *(c.entries for c in reals)):
+            if any(a is EMPTY for a in args):
                 want = EMPTY
             else:
-                want = _pure_op(op, ae, be)
+                want = apply_op(op, *args)
                 if want is None:  # fault: no value certifies this activation
                     return False
             if not _value_equal(pe, want):
@@ -492,39 +455,18 @@ def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | No
             runs = payload.runs  # type: ignore[union-attr]
             if path == 0:
                 ok = len(runs) == 1 and _state_equal(runs[0][0], sigma)
-            if node.op == ":=":
-                ok = ok and check_node(
-                    node.op,
-                    payload,
-                    vn.children[0].payload,
-                    vn.children[1].payload,
-                    target=node.children[0].op,
-                )
-                per_act = [r[0] for r in runs]
-                visit(node.children[0], vn.children[0], 2 * path + 1, per_act)
-                visit(node.children[1], vn.children[1], 2 * path + 2, per_act)
-            elif node.op == "seq":
-                ok = ok and check_node(
-                    node.op, payload, vn.children[0].payload, vn.children[1].payload
-                )
-                visit(node.children[0], vn.children[0], 2 * path + 1, None)
-                visit(node.children[1], vn.children[1], 2 * path + 2, None)
-            elif node.op == "if":
-                ok = ok and check_node(
-                    node.op, payload, vn.children[0].payload, vn.children[1].payload
-                )
-                per_act = [r[0] for r in runs]
-                visit(node.children[0], vn.children[0], 2 * path + 1, per_act)
-                visit(node.children[1], vn.children[1], 2 * path + 2, None)
-            elif node.op == "while":
-                ok = ok and check_node(
-                    node.op, payload, vn.children[0].payload, vn.children[1].payload
-                )
-                guard_inputs = [s for run in runs for s in run]
-                visit(node.children[0], vn.children[0], 2 * path + 1, guard_inputs)
-                visit(node.children[1], vn.children[1], 2 * path + 2, None)
+            ok = ok and check_node(
+                node.op, payload, vn.children[0].payload, vn.children[1].payload,
+                target=node.children[0].op if node.op == ":=" else None,
+            )
+            if node.op == "while":
+                # the guard is checked at every state of every trace
+                starts = [s for run in runs for s in run]
             else:
-                raise ValueTreeError(f"unknown statement operator {node.op!r}")
+                starts = [r[0] for r in runs]
+            for j, (fc, vc) in enumerate(zip(node.children, vn.children)):
+                visit(fc, vc, 2 * path + j + 1,
+                      None if fc.sort is Sort.STMT else starts)
         else:
             if path == 0:
                 ok = len(payload.entries) == 1  # type: ignore[union-attr]

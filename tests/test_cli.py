@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, flag placement."""
 
 import json
+import sys
 
 import pytest
 
@@ -234,6 +235,28 @@ def test_check_cert_malformed(run, tmp_path):
         assert payload["valid"] is False and reason in payload["error"]
 
 
+@pytest.mark.parametrize("flags", [(), ("--hex",)])
+def test_certify_check_cert_past_the_digit_limit(run, tmp_path, flags):
+    # this certificate has some 14,800 decimal digits, more than Python
+    # converts between int and str by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(*flags, "certify", "--text", "x := x + 1",
+                         "--state", "x=6")
+    assert (code, err) == (0, "")
+    cert = tmp_path / "big.cert"
+    cert.write_text(out)
+    code, out, _ = run("check-cert", "--text", "x := x + 1", "--state", "x=6",
+                       "--cert", str(cert))
+    assert (code, out) == (0, "valid\n")
+    # main lifts the limit for its own call only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_decode_reads_hex(run):
+    code, out, _ = run("decode", "--as", "seq", "0xe", "0x6", "0x2")
+    assert (code, out) == (0, "0 1\n")
+
+
 def test_certify_divergent_run(run):
     code, _, err = run("certify", "--text", "while x < 2 do x := x + 1",
                        "--state", "x=0", "--fuel", "5")
@@ -390,6 +413,37 @@ def test_global_flags_accepted_on_both_sides(run):
     after = run("classify", "--variant", "general", "--json")
     assert before == after
     assert before[0] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("run", "--text", "x := 1", "--state", "x=0", "--fuel", "-1"), "--fuel"),
+    (("certify", "--text", "x := 1", "--state", "x=0", "--fuel", "-1"),
+     "--fuel"),
+    (("synth", "--problem", str(FIXTURES / "value_five.prob"),
+      "--size-budget", "7", "--fuel", "-1"), "--fuel"),
+    (("synth", "--problem", str(FIXTURES / "value_five.prob"),
+      "--size-budget", "-3"), "--size-budget"),
+    (("cegis", "--problem", str(FIXTURES / "copy.prob"), "--rounds", "1",
+      "--size-budget", "24", "--fuel", "-1"), "--fuel"),
+    (("cegis", "--problem", str(FIXTURES / "copy.prob"), "--rounds", "1",
+      "--size-budget", "0"), "--size-budget"),
+    (("cegis", "--problem", str(FIXTURES / "copy.prob"), "--rounds", "-2",
+      "--size-budget", "24"), "--rounds"),
+    (("cegis", "--problem", str(FIXTURES / "copy.prob"), "--rounds", "0",
+      "--size-budget", "24"), "--rounds"),
+])
+def test_out_of_range_numeric_flags(run, argv, flag):
+    code, out, err = run(*argv)
+    assert (code, out) == (64, "")
+    assert f"argument {flag}: must be at least" in err
+
+
+def test_numeric_flags_accept_their_lower_bounds(run):
+    assert run("run", "--text", "x := 1", "--state", "x=0", "--fuel", "0") == (
+        0, "fuel-exhausted\n", "")
+    code, out, _ = run("cegis", "--problem", str(FIXTURES / "copy.prob"),
+                       "--rounds", "1", "--size-budget", "1", "--quiet")
+    assert code == 3 and out.startswith("budget-exhausted")
 
 
 def test_unknown_subcommand(run):

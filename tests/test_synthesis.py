@@ -11,6 +11,7 @@ from impsynth.synthesis import (
     Finite,
     Mode,
     Realized,
+    SearchStats,
     SynthesisError,
     SynthesisProblem,
     Unknown,
@@ -208,6 +209,43 @@ def test_cegis_zero_round_budget():
     assert trace.candidate is None
 
 
+@pytest.mark.parametrize("engine", ["auto", "dovetail"])
+def test_cegis_without_seeds_on_an_empty_language(engine):
+    # S ::= S + S derives no finite term, so the zero-example step scans
+    # an empty language and proves the problem unrealizable
+    grammar = parse_grammar("(grammar (vars x) (start S) (rule S (+ S S)))")
+    problem = SynthesisProblem(grammar, BoundedBox(X, (("x", 0, 2),)),
+                               parse_predicate("(= out x)"))
+    result, trace = cegis(problem, [], 3, 9, 100, engine=engine)
+    assert isinstance(result, Unrealizable)
+    assert result.proof == (
+        "the grammar generates only terms of size <= 0; "
+        "the language has no term within the budget")
+    assert trace.history == ()
+
+
+def test_cegis_without_seeds_takes_the_first_term_unevaluated():
+    # no example is run in the zero-example step, so it records no fuel;
+    # the fuel limit is the verifier's 1, not the scan's term_size + 1
+    problem = expr_problem("(= out 5)", BoundedBox(X, (("x", 3, 3),)))
+    result, trace = cegis(problem, [], 1, 9, 1)
+    assert isinstance(result, BudgetExhausted)
+    assert trace.history == ((parse_term("1"), State(X, (3,))),)
+    assert result.stats == SearchStats(candidates=1, evaluations=1,
+                                       rounds=1, fuel_limit=1)
+
+
+def test_cegis_round_at_the_scan_cap():
+    # the capped scan checks exactly 20,000 candidates before the
+    # guarded-block fallback assembles one more
+    problem = example_assignment_problem(50)
+    seed = State(problem.universe, (0, 10))
+    result, _ = cegis(problem, [seed], 1, 256, 1024)
+    assert isinstance(result, BudgetExhausted)
+    assert result.stats == SearchStats(candidates=20001, evaluations=20063,
+                                       rounds=1, fuel_limit=1024)
+
+
 def test_cegis_validates_seeds_and_engine():
     problem = expr_problem("(= out 5)")
     with pytest.raises(SynthesisError, match="outside the domain"):
@@ -245,6 +283,8 @@ def test_largest_constant():
     assert largest_constant(parse_term("0")) == 0
     # the faulting quotient is skipped, but its literal operands count
     assert largest_constant(parse_term("1 / 0")) == 1
+    assert largest_constant(parse_term("(1 + 1) * (1 + 1 + 1)")) == 6
+    assert largest_constant(parse_term("1 - (0 - 1)")) == 2
 
 
 # ---------------------------------------------------------------------------
