@@ -624,6 +624,12 @@ def main(argv: list[str] | None = None) -> int:
             SynthesisError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
+    except RecursionError:
+        # the parser, printer, evaluator and certificate builders recurse
+        # once per level of nesting
+        print("error: nesting too deep: terms this deep are out of reach of "
+              "the recursive term walks", file=sys.stderr)
+        return EX_INTERNAL
     except SystemExit:
         raise
     except Exception as err:  # pragma: no cover - defensive

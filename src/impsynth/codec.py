@@ -53,20 +53,30 @@ def beta(a: int, b: int, i: int) -> int:
 _FACTORIAL_CAP = 1_000_000
 
 
+def factorial_base_size(length: int, largest: int = 0) -> int:
+    """The s with b = s! for ``length`` entries up to ``largest``.
+
+    Raises CodecError past the cap, so a caller that is about to lay out
+    ``length`` cells can ask first and allocate nothing it cannot encode.
+    """
+    s = max(length, largest) + 1
+    if s > _FACTORIAL_CAP:
+        raise CodecError(
+            f"{length} sequence entries, the largest at least {largest}, "
+            f"need a factorial base of {s}!, which is astronomically large; "
+            "this codec is exact but only practical for short sequences of "
+            "small entries"
+        )
+    return s
+
+
 def encode_seq(cs: list[int] | tuple[int, ...]) -> BetaPair:
     """Canonical factorial/CRT compression of a non-empty sequence."""
     if not cs:
         raise CodecError("cannot encode an empty sequence")
     if any(c < 0 for c in cs):
         raise CodecError("sequence entries must be naturals")
-    s = max(len(cs), max(cs)) + 1
-    if s > _FACTORIAL_CAP:
-        raise CodecError(
-            f"sequence entries up to {max(cs)} need a factorial base of "
-            f"{s}!, which is astronomically large; this codec is exact "
-            "but only practical for small entries"
-        )
-    b = math.factorial(s)
+    b = math.factorial(factorial_base_size(len(cs), max(cs)))
     a, modulus = 0, 1
     for i, c in enumerate(cs):
         m = 1 + b * (i + 1)
@@ -240,7 +250,9 @@ def encode_term(t: Term, universe: VarUniverse) -> EncodedTree:
     if not is_perfect(t):
         raise CodecError("term is not a perfect binary tree; embed it first")
     h = term_height(t)
-    cells = [0] * (2 ** (h + 1) - 1)
+    length = 2 ** (h + 1) - 1
+    factorial_base_size(length)  # refuse before allocating the cells
+    cells = [0] * length
 
     def fill(node: Term, i: int) -> None:
         cells[i] = op_code(node.op, universe)

@@ -43,12 +43,8 @@ from .grammar import (
 from .semantics import (
     FUEL_EXHAUSTED,
     LITERALS,
-    VALUE_OPS,
     BoolValue,
-    EvalOutcome,
-    Fault,
     StateOut,
-    Value,
     apply_op,
     eval_term,
 )
@@ -59,7 +55,6 @@ from .terms import (
     Term,
     VarUniverse,
     _read_sexps,
-    op_info,
     term_size,
     to_prefix,
     variables_of,
@@ -461,128 +456,62 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
 
 
 # ---------------------------------------------------------------------------
-# Behavioral-signature search (used by the cegis fast path)
+# Observational-equivalence search (used by the cegis fallback)
 #
-# On a fixed example set, a term's relevant behavior is one outcome per
-# example.  The enumerator below builds terms bottom-up, keeps only the
-# first (smallest, then print-order) term per behavior, and composes
-# behaviors algebraically instead of re-running the interpreter.  The
-# algebra assumes statement writes never feed later reads (true for the
-# write-only-output grammars this fast path targets); every term pulled
-# out of it is re-verified with the real interpreter before use, so a
-# wrong signature can only cause a miss, never a wrong answer.
+# On a fixed example set, a term's relevant behavior is its outcome on
+# each example.  The enumerator below builds terms bottom-up, size by
+# size, runs every new term on the examples with the real interpreter,
+# and keeps only the first (smallest, then print-order) term of each
+# outcome class.  Classes do not carry over to every composite: in
+# `seq(a, b)`, `b` runs on the state `a` left, where two statements that
+# agree on the examples may differ, so keeping one of them can miss an
+# answer.  The assembled candidate is re-verified for the same reason:
+# its blocks run in sequence and a later guard can read an earlier
+# block's write.
 
-_FAULTED = object()  # per-example marker: this run faults
+# `if` is assembled by the fallback itself; loops and padding are never
+# grown.
+_FALLBACK_SKIP_OPS = frozenset({"if", "while", "nop", "null"})
 
 
 class _ClassEnumerator:
-    def __init__(self, g: Rtg, examples: Sequence[State],
-                 skip_ops: frozenset[str] = frozenset()):
+    def __init__(self, g: Rtg, examples: Sequence[State]):
         self.g = g
         self.examples = tuple(examples)
-        self.skip_ops = skip_ops | {"while", "nop", "null"}
-        # pool[nt] = list of (size, term, sig); seen[nt] = known signatures
+        # pool[nt] = list of (size, term, key); seen[nt] = known keys
         self.pool: dict[str, list[tuple[int, Term, object]]] = {
             nt: [] for nt in g.nonterminals}
         self.seen: dict[str, set[object]] = {nt: set() for nt in g.nonterminals}
         self.size = 0
-        self.work = 0
+        self.work = 0  # most fuel the key evaluations could have spent
 
-    # -- signature algebra --------------------------------------------------
+    def _key(self, t: Term, size: int) -> object:
+        """The outcomes of ``t`` on the examples.  A variable leaf keys by
+        its name, because an assignment target is a name, not a value."""
+        if t.sort is Sort.VAR:
+            return t.op
+        self.work += size * len(self.examples)
+        return tuple(eval_term(t, sigma, size + 1) for sigma in self.examples)
 
-    def _values(self, sig: object, sort: Sort) -> tuple | None:
-        """Per-example values of a signature in an operand slot of ``sort``;
-        None when the signature cannot fill that slot."""
-        kind = sig[0]
-        if sort is Sort.BOOL:
-            return sig[1] if kind == "b" else None
-        if kind == "e":
-            return sig[1]
-        if kind == "v":
-            name = sig[1]
-            return tuple(sigma.get(name) for sigma in self.examples)
-        return None
-
-    def _leaf_sig(self, op: str) -> object | None:
-        if op in LITERALS:
-            kind = "b" if op_info(op).sort is Sort.BOOL else "e"
-            return (kind, (LITERALS[op],) * len(self.examples))
-        if op_info(op).sort is Sort.VAR:
-            return ("v", op)
-        return None
-
-    def _compose(self, op: str, child_sigs: tuple[object, ...]) -> object | None:
-        if op in VALUE_OPS:
-            info = op_info(op)
-            columns = []
-            for sig, sort in zip(child_sigs, info.operands):
-                values = self._values(sig, sort)
-                if values is None:
-                    return None
-                columns.append(values)
-            out = []
-            for args in zip(*columns):
-                value = _FAULTED if _FAULTED in args else apply_op(op, *args)
-                out.append(_FAULTED if value is None else value)
-            return ("b" if info.sort is Sort.BOOL else "e", tuple(out))
-        if op == ":=":
-            target_sig, value_sig = child_sigs
-            if target_sig[0] != "v":
-                return None
-            values = self._values(value_sig, Sort.EXPR)
-            if values is None:
-                return None
-            name = target_sig[1]
-            return ("s", tuple(
-                _FAULTED if v is _FAULTED else frozenset({(name, v)})
-                for v in values))
-        if op == "seq":
-            sa, sb = child_sigs
-            if sa[0] != "s" or sb[0] != "s":
-                return None
-            out = []
-            for a, b in zip(sa[1], sb[1]):
-                if a is _FAULTED or b is _FAULTED:
-                    out.append(_FAULTED)
-                else:
-                    merged = dict(a)
-                    merged.update(dict(b))
-                    out.append(frozenset(merged.items()))
-            return ("s", tuple(out))
-        if op == "if":
-            guard_sig, body_sig = child_sigs
-            if guard_sig[0] != "b" or body_sig[0] != "s":
-                return None
-            out = []
-            for cond, body in zip(guard_sig[1], body_sig[1]):
-                if cond is _FAULTED:
-                    out.append(_FAULTED)
-                elif cond:
-                    out.append(body)
-                else:
-                    out.append(frozenset())
-            return ("s", tuple(out))
-        return None
-
-    def outcome_at(self, sig: object, i: int) -> EvalOutcome:
-        """The evaluation outcome this signature predicts on example i."""
-        kind, entries = sig[0], None
-        if kind == "v":
-            return Value(self.examples[i].get(sig[1]))
-        entries = sig[1]
-        entry = entries[i]
-        if entry is _FAULTED:
-            return Fault()
-        if kind == "e":
-            return Value(entry)
-        if kind == "b":
-            return BoolValue(entry)
-        sigma = self.examples[i]
-        for name, value in sorted(entry):
-            sigma = sigma.set(name, value)
-        return StateOut(sigma)
-
-    # -- growing ------------------------------------------------------------
+    def _new_terms(self, nt: str, s: int) -> Iterator[Term]:
+        """Every term of size ``s`` that ``nt`` builds from pooled terms."""
+        for prod in self.g.productions(nt):
+            if prod.op in _FALLBACK_SKIP_OPS:
+                continue
+            arity = len(prod.operands)
+            if arity == 0:
+                if s == 1:
+                    yield Term(prod.op)
+            elif arity == 1:
+                for sz, t0, _ in self.pool[prod.operands[0]]:
+                    if sz == s - 1:
+                        yield Term(prod.op, (t0,))
+            elif arity == 2:
+                left_nt, right_nt = prod.operands
+                for sz0, t0, _ in self.pool[left_nt]:
+                    for sz1, t1, _ in self.pool[right_nt]:
+                        if sz0 + sz1 == s - 1:
+                            yield Term(prod.op, (t0, t1))
 
     def grow_to(self, size_cap: int, work_cap: int) -> bool:
         """Materialize classes up to ``size_cap``; False if work ran out."""
@@ -590,59 +519,16 @@ class _ClassEnumerator:
             if self.work > work_cap:
                 return False
             s = self.size + 1
-            fresh: dict[str, list[tuple[Term, object]]] = {}
-            for nt in self.g.nonterminals:
-                found: list[tuple[Term, object]] = []
-                for prod in self.g.productions(nt):
-                    if prod.op in self.skip_ops:
-                        continue
-                    arity = len(prod.operands)
-                    if arity == 0:
-                        if s == 1:
-                            sig = self._leaf_sig(prod.op)
-                            if sig is not None:
-                                found.append((Term(prod.op), sig))
-                        continue
-                    budget = s - 1
-                    if arity == 1:
-                        for sz, t0, sig0 in self.pool[prod.operands[0]]:
-                            if sz != budget:
-                                continue
-                            self.work += 1
-                            sig = self._compose(prod.op, (sig0,))
-                            if sig is not None:
-                                found.append((Term(prod.op, (t0,)), sig))
-                    elif arity == 2:
-                        left_nt, right_nt = prod.operands
-                        for sz0, t0, sig0 in self.pool[left_nt]:
-                            rest = budget - sz0
-                            if rest < 1:
-                                continue
-                            for sz1, t1, sig1 in self.pool[right_nt]:
-                                if sz1 != rest:
-                                    continue
-                                self.work += 1
-                                sig = self._compose(prod.op, (sig0, sig1))
-                                if sig is not None:
-                                    found.append(
-                                        (Term(prod.op, (t0, t1)), sig))
-                fresh[nt] = found
+            fresh = {nt: sorted(self._new_terms(nt, s), key=to_prefix)
+                     for nt in self.g.nonterminals}
             for nt, found in fresh.items():
-                for t, sig in sorted(found, key=lambda pair: to_prefix(pair[0])):
-                    if sig not in self.seen[nt]:
-                        self.seen[nt].add(sig)
-                        self.pool[nt].append((s, t, sig))
+                for t in found:
+                    key = self._key(t, s)
+                    if key not in self.seen[nt]:
+                        self.seen[nt].add(key)
+                        self.pool[nt].append((s, t, key))
             self.size = s
         return True
-
-    def reps(self, nt: str) -> list[tuple[int, Term, object]]:
-        return self.pool[nt]
-
-
-def _identity_satisfies(problem: SynthesisProblem, sigma: State,
-                        placeholder: Term) -> bool:
-    """Does leaving the state untouched already meet the predicate?"""
-    return problem.spec.holds(sigma, placeholder, StateOut(sigma))
 
 
 def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
@@ -653,10 +539,10 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
     productions.  For each example that the untouched state does not
     already satisfy, find a small statement correct on that example
     alone plus a guard true on that example and false on the others,
-    then chain ``if guard then statement`` blocks.  Signatures steer the
-    search; the assembled candidate is re-verified with the real
-    interpreter and the whole attempt returns None if anything is out of
-    reach.
+    then chain ``if guard then statement`` blocks.  Statements and
+    guards are judged by their interpreted outcomes on the examples; the
+    assembled candidate is re-verified on all of them, and the whole
+    attempt returns None if anything is out of reach.
     """
     g = problem.grammar
     examples = tuple(problem.domain.states())
@@ -668,11 +554,12 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
         return None
     guard_nt, body_nt = if_prods[0].operands
 
-    enum = _ClassEnumerator(g, examples, skip_ops=frozenset({"if"}))
+    enum = _ClassEnumerator(g, examples)
     placeholder = Term("1")
 
+    # the examples that leaving the state untouched does not satisfy
     needed = [i for i, sigma in enumerate(examples)
-              if not _identity_satisfies(problem, sigma, placeholder)]
+              if not problem.spec.holds(sigma, placeholder, StateOut(sigma))]
     if not needed:
         return None
 
@@ -680,41 +567,31 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
     guards: dict[int, Term] = {}
     size_cap = min(size_budget, _FALLBACK_SIZE_CAP)
 
-    def one_hot(sig: object, i: int) -> bool:
-        if sig[0] != "b":
-            return False
-        return all((x is not _FAULTED) and x == (j == i)
-                   for j, x in enumerate(sig[1]))
-
     body_cursor = guard_cursor = 0
     for target in range(1, size_cap + 1):
         if not enum.grow_to(target, _FALLBACK_WORK_CAP):
             return None
-        body_pool = enum.reps(body_nt)
+        body_pool = enum.pool[body_nt]
         while body_cursor < len(body_pool):
-            _, t, sig = body_pool[body_cursor]
+            _, t, outs = body_pool[body_cursor]
             body_cursor += 1
-            if sig[0] != "s":
-                continue
             for i in needed:
                 if i in bodies:
                     continue
                 stats.evaluations += 1
-                if problem.spec.holds(examples[i], t,
-                                      enum.outcome_at(sig, i)):
+                if problem.spec.holds(examples[i], t, outs[i]):
                     bodies[i] = t
-        guard_pool = enum.reps(guard_nt)
+        guard_pool = enum.pool[guard_nt]
         while guard_cursor < len(guard_pool):
-            _, t, sig = guard_pool[guard_cursor]
+            _, t, outs = guard_pool[guard_cursor]
             guard_cursor += 1
             for i in needed:
-                if i not in guards and one_hot(sig, i):
+                if i not in guards and all(
+                        out == BoolValue(j == i) for j, out in enumerate(outs)):
                     guards[i] = t
         if all(i in bodies and i in guards for i in needed):
             break
     else:
-        return None
-    if not all(i in bodies and i in guards for i in needed):
         return None
 
     blocks = [Term("if", (guards[i], bodies[i])) for i in needed]

@@ -44,6 +44,7 @@ from .codec import (
     EncodedTree,
     encode_seq,
     decode_seq,
+    factorial_base_size,
     encode_state,
     decode_state,
     int_to_nat,
@@ -598,10 +599,13 @@ def encode_value_tree(v: ValueTree) -> EncodedTree:
     0; the decoder never reads them because it walks the term's shape.
     Evidence for loops over non-trivial states produces cells too large
     for the factorial compression of the final sequence — the codec is
-    exact, not compact — and then this raises a CodecError.
+    exact, not compact — and then this raises a CodecError; so does a
+    tree too tall to lay out, before its cells are allocated.
     """
     h = _vnode_height(v.root)
-    cells = [0] * (2 ** (h + 1) - 1)
+    length = 2 ** (h + 1) - 1
+    factorial_base_size(length)  # refuse before allocating the cells
+    cells = [0] * length
 
     def fill(node: VNode, i: int) -> None:
         cells[i] = payload_cell(node.payload)

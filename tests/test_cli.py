@@ -271,6 +271,25 @@ def test_certify_loop_exceeds_codec(run):
     assert "out of reach" in err
 
 
+def test_certify_tall_tree_exceeds_codec(run):
+    # the 51-level tree is refused before its 2**52 - 1 cells are laid out
+    code, _, err = run("certify", "--text", "x := 50", "--state", "x=0")
+    assert code == 70
+    assert "out of reach" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--text", "x := 500", "--state", "x=0"),
+    ("parse", "--text", "x := 1500"),
+])
+def test_deep_nesting_is_a_capability_limit(run, argv):
+    code, _, err = run(*argv)
+    assert code == 70
+    assert "out of reach" in err
+    assert "internal error" not in err
+
+
 # ---------------------------------------------------------------------------
 # synth / cegis
 

@@ -17,6 +17,7 @@ from impsynth.synthesis import (
     Unknown,
     Unrealizable,
     Verified,
+    _decision_list_pbe,
     cegis,
     classify,
     example_assignment_problem,
@@ -27,7 +28,14 @@ from impsynth.synthesis import (
     synthesize_pbe,
     verify,
 )
-from impsynth.terms import State, VarUniverse, parse_prefix, parse_term, term_size
+from impsynth.terms import (
+    State,
+    VarUniverse,
+    parse_prefix,
+    parse_term,
+    print_term,
+    term_size,
+)
 
 from .conftest import FIXTURES
 
@@ -270,6 +278,35 @@ def test_example_assignment_problem_shape():
     assert list(problem.universe) == ["x", "y"]
     assert problem.domain.size() == 51
     assert str(problem.spec) == "(and (= (out x) y) (= (out y) y))"
+
+
+# ---------------------------------------------------------------------------
+# Guarded-block fallback
+
+BLOCKS = """
+(grammar (vars x y) (start S)
+  (rule S (:= X E)) (rule S (if B S)) (rule S (seq S S))
+  (rule B (= E E)) (rule X x) (rule X y)
+  (rule E x) (rule E (+ E E)) {extra})
+"""
+
+
+@pytest.mark.parametrize("extra,spec,start,expected", [
+    # the second assignment reads what the first wrote
+    ("", "(and (= (out x) (+ x x)) (= (out y) (* 4 x)))", (1, 0),
+     "if x = x then x := (x + x); y := (x + x)"),
+    # x and y are told apart as targets although both hold 0
+    ("(rule E 0) (rule E 1)", "(and (= (out x) 0) (= (out y) 1))", (0, 0),
+     "if 0 = 0 then y := 1"),
+], ids=["write-feeds-read", "targets-by-name"])
+def test_guarded_block_fallback(extra, spec, start, expected):
+    xy = VarUniverse.of("x", "y")
+    problem = SynthesisProblem(parse_grammar(BLOCKS.format(extra=extra)),
+                               Finite((State(xy, start),)),
+                               parse_predicate(spec))
+    result = _decision_list_pbe(problem, 64, SearchStats())
+    assert isinstance(result, Realized)
+    assert print_term(result.term) == expected
 
 
 # ---------------------------------------------------------------------------

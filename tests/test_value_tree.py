@@ -372,6 +372,13 @@ def test_loop_certificates_exceed_the_codec():
         encode_value_tree(v)
 
 
+def test_tall_trees_are_refused_before_their_cells_exist():
+    # height 51: 2**52 - 1 heap cells, refused by the length rule
+    v = built(parse_term("x := 50", X), State(X, (0,)))
+    with pytest.raises(CodecError, match="astronomically"):
+        encode_value_tree(v)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
