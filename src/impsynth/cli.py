@@ -41,6 +41,7 @@ from .codec import (
     encode_seq,
     encode_state,
     encode_term,
+    factorial_base_size,
 )
 from .grammar import (
     GrammarError,
@@ -75,6 +76,7 @@ from .terms import (
     is_variable_name,
     parse_term,
     print_term,
+    term_height,
     to_prefix,
 )
 from .value_tree import (
@@ -259,9 +261,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.as_what == "term":
         universe = _parse_vars(args.vars) if args.vars else None
         term, universe = _load_program(args, universe)
-        if not is_perfect(term):
-            term = embed(term)
-        enc = encode_term(term, universe)
+        try:
+            if not is_perfect(term):
+                # embed adds a level; refuse before building the padded tree
+                factorial_base_size(2 ** (term_height(term) + 2) - 1)
+                term = embed(term)
+            enc = encode_term(term, universe)
+        except CodecError as err:
+            print(f"error: term numbers out of reach: {err}", file=sys.stderr)
+            return EX_INTERNAL
         triple = (enc.seq.a, enc.seq.b, enc.seq.length)
         _emit(args,
               {"as": "term", "a": str(triple[0]), "b": str(triple[1]),

@@ -16,7 +16,9 @@ decide:
 
 * :func:`cegis` alternates example-based synthesis with whole-domain
   verification, growing the example set by one counterexample per
-  round.
+  round.  Its scans share one candidate stream for the whole run: each
+  round resumes after the last candidate handed out, since the examples
+  only grow, and the scan cap counts from the start of the run.
 
 ``Unrealizable`` is only ever reported with an exhaustion certificate
 over a *finite* grammar language; searches over infinite languages end
@@ -367,25 +369,53 @@ def synthesize_loop_free(problem: SynthesisProblem,
         raise SynthesisError(
             "grammar contains `while`; use synthesize_pbe, which interleaves "
             "fuel budgets")
-    return _scan(problem, tuple(problem.domain.states()), size_budget,
+    return _scan(problem, tuple(problem.domain.states()),
+                 _Stream(problem.grammar, size_budget), size_budget,
                  SearchStats())
 
 
+class _Stream:
+    """One size-ordered enumeration read through a cursor.
+
+    Iterating hands out the terms after the last one handed out, so a
+    scan that stops at a hit leaves the next scan to resume behind it.
+    The stream ends for good when the language (within the budget) runs
+    out, or once ``cap`` terms, counted from its start, have been handed
+    out; then ``capped`` is set and the generator, with its memo, is
+    dropped.
+    """
+
+    def __init__(self, grammar: Rtg, size_budget: int,
+                 cap: int | None = None):
+        self._terms: Iterator[Term] | None = enumerate_terms(
+            grammar, size_budget)
+        self._left = cap
+        self.capped = False
+
+    def __iter__(self) -> Iterator[Term]:
+        while self._terms is not None:
+            f = next(self._terms, None)
+            if f is None or self._left == 0:
+                self.capped = f is not None
+                self._terms = None
+                return
+            if self._left is not None:
+                self._left -= 1
+            yield f
+
+
 def _scan(problem: SynthesisProblem, states: tuple[State, ...],
-          size_budget: int, stats: SearchStats,
-          cap: int | None = None) -> SynthesisResult | None:
-    """Size-ordered scan for the first term that meets the predicate on
-    every state; with no states the first term of the language wins.
+          stream: _Stream, size_budget: int,
+          stats: SearchStats) -> SynthesisResult | None:
+    """Scan ``stream`` for the first term that meets the predicate on
+    every state; with no states its next term wins.
 
     Every term must finish within ``term_size + 1`` fuel, which holds in
     a loop-free grammar and trivially with no states.  Returns None when
-    ``cap`` candidates were checked before the language (restricted to
-    the budget) was exhausted: no verdict either way.
+    the stream reached its cap before the language (restricted to the
+    budget) was exhausted: no verdict either way.
     """
-    for count, f in enumerate(enumerate_terms(problem.grammar, size_budget),
-                              1):
-        if cap is not None and count > cap:
-            return None
+    for f in stream:
         stats.candidates += 1
         fuel = term_size(f) + 1
         if states:  # only fuel some run was given counts
@@ -394,6 +424,8 @@ def _scan(problem: SynthesisProblem, states: tuple[State, ...],
         assert verdict is not None, "loop-free evaluation ran out of fuel"
         if verdict:
             return Realized(f, stats)
+    if stream.capped:
+        return None
     return _exhausted_verdict(
         problem, size_budget, stats,
         "all were checked and none satisfies the predicate" if states
@@ -615,18 +647,23 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
 
 
 def _pbe_step(problem: SynthesisProblem, examples: tuple[State, ...],
-              size_budget: int, fuel: int, engine: str) -> SynthesisResult:
-    """Synthesize against the current example set."""
+              stream: _Stream, size_budget: int, fuel: int,
+              engine: str) -> SynthesisResult:
+    """Synthesize against the current example set.
+
+    Both scans read the run's shared ``stream``: every term it handed out
+    earlier is refuted by the examples, which only grow.
+    """
     stats = SearchStats()
     if not examples:
         # Zero examples: any term of the language is vacuously correct.
-        return _scan(problem, (), size_budget, stats)
+        return _scan(problem, (), stream, size_budget, stats)
     sub = SynthesisProblem(problem.grammar, Finite(examples), problem.spec,
                            problem.mode)
     loop_free = not _grammar_has_op(problem.grammar, "while")
     if engine == "dovetail" or not loop_free:
         return synthesize_pbe(sub, size_budget, fuel_cap=fuel)
-    result = _scan(sub, examples, size_budget, stats, cap=_SCAN_CAP)
+    result = _scan(sub, examples, stream, size_budget, stats)
     if result is not None:
         return result
     fallback = _decision_list_pbe(sub, size_budget, stats)
@@ -656,6 +693,13 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
     ``engine`` picks the example-step strategy: ``"dovetail"`` always
     interleaves fuel budgets; ``"auto"`` uses a capped exhaustive scan
     plus a guarded-block fallback when the grammar is loop-free.
+
+    The scans of all rounds read one shared enumeration.  A round
+    resumes after the candidate the previous round returned: the new
+    counterexample refutes that candidate and the examples held refute
+    every one before it.  The cap counts the first ``_SCAN_CAP``
+    candidates from the start of the run, not per round; once a scan
+    reaches it, every later round goes straight to the fallback.
     """
     if engine not in ("auto", "dovetail"):
         raise SynthesisError(f"unknown engine {engine!r}")
@@ -669,13 +713,15 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
     history: list[tuple[Term, State | None]] = []
     stats = SearchStats()
     candidate: Term | None = None
+    stream = _Stream(problem.grammar, size_budget, cap=_SCAN_CAP)
 
     def state() -> CegisState:
         return CegisState(tuple(examples), candidate, tuple(history))
 
     for round_no in range(round_budget):
         stats.rounds = round_no + 1
-        step = _pbe_step(problem, tuple(examples), size_budget, fuel, engine)
+        step = _pbe_step(problem, tuple(examples), stream, size_budget, fuel,
+                         engine)
         stats.candidates += step.stats.candidates
         stats.evaluations += step.stats.evaluations
         stats.fuel_limit = max(stats.fuel_limit, step.stats.fuel_limit)

@@ -279,6 +279,15 @@ def test_certify_tall_tree_exceeds_codec(run):
     assert "internal error" not in err
 
 
+def test_encode_tall_term_is_refused_before_padding(run):
+    # embedding the 41-level term would build a padded tree of 2**42 - 1
+    # nodes; it is refused before the tree exists
+    code, _, err = run("encode", "--as", "term", "--text", "x := 40")
+    assert code == 70
+    assert "out of reach" in err
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--text", "x := 500", "--state", "x=0"),
     ("parse", "--text", "x := 1500"),
@@ -360,7 +369,7 @@ def test_cegis_realized(run, box_problem):
         "round 2: candidate (1 + 1) | counterexample x=1",
         "round 3: candidate ((1 + 1) + x) | counterexample -",
         "realized: ((1 + 1) + x)",
-        "stats: candidates=12 evaluations=31 rounds=3 fuel-limit=100",
+        "stats: candidates=8 evaluations=26 rounds=3 fuel-limit=100",
     ]
 
 

@@ -1,8 +1,12 @@
 """Synthesis engines: verification, enumeration, refinement, classification."""
 
+import itertools
+
 import pytest
 
-from impsynth.grammar import parse_grammar
+from impsynth import synthesis
+from impsynth.grammar import enumerate_terms, parse_grammar
+from impsynth.semantics import eval_term
 from impsynth.spec_lang import parse_predicate
 from impsynth.synthesis import (
     BoundedBox,
@@ -252,6 +256,58 @@ def test_cegis_round_at_the_scan_cap():
     assert isinstance(result, BudgetExhausted)
     assert result.stats == SearchStats(candidates=20001, evaluations=20063,
                                        rounds=1, fuel_limit=1024)
+
+
+def test_cegis_round_after_the_scan_cap_scans_nothing():
+    # round 1 reaches the cap; round 2 goes straight to the fallback,
+    # which assembles one candidate
+    problem = example_assignment_problem(50)
+    seed = State(problem.universe, (0, 10))
+    result, _ = cegis(problem, [seed], 2, 256, 1024)
+    assert isinstance(result, BudgetExhausted)
+    assert result.stats == SearchStats(candidates=20002, evaluations=20129,
+                                       rounds=2, fuel_limit=1024)
+
+
+def _stateless_cegis(problem, seeds, rounds, size_budget, fuel):
+    """Reference refinement loop: every round scans the first
+    ``_SCAN_CAP`` terms afresh, then tries the guarded-block fallback."""
+    examples = list(seeds)
+    history = []
+    for _ in range(rounds):
+        candidate = None
+        for f in itertools.islice(enumerate_terms(problem.grammar, size_budget),
+                                  synthesis._SCAN_CAP):
+            if all(problem.spec.holds(s, f, eval_term(f, s, term_size(f) + 1))
+                   for s in examples):
+                candidate = f
+                break
+        if candidate is None:
+            sub = SynthesisProblem(problem.grammar, Finite(tuple(examples)),
+                                   problem.spec, problem.mode)
+            found = _decision_list_pbe(sub, size_budget, SearchStats())
+            if found is None:
+                break
+            candidate = found.term
+        verdict = verify(candidate, problem, fuel)
+        if not isinstance(verdict, CounterexampleFound):
+            history.append((candidate, None))
+            break
+        history.append((candidate, verdict.state))
+        examples.append(verdict.state)
+    return tuple(history)
+
+
+@pytest.mark.parametrize("bound", [3, 10])
+def test_cegis_matches_a_stateless_reference_loop(monkeypatch, bound):
+    # a small cap makes later rounds both resume after a hit and reach
+    # the cap, so the shared stream is checked on both paths
+    monkeypatch.setattr(synthesis, "_SCAN_CAP", 50)
+    problem = example_assignment_problem(bound)
+    for y in range(bound + 1):
+        seeds = [State(problem.universe, (0, y))]
+        _, trace = cegis(problem, seeds, 4, 256, 1024)
+        assert trace.history == _stateless_cegis(problem, seeds, 4, 256, 1024)
 
 
 def test_cegis_validates_seeds_and_engine():
