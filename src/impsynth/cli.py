@@ -56,7 +56,6 @@ from .semantics import eval_term, format_outcome
 from .spec_lang import SpecError
 from .synthesis import (
     CLASSIFY_VARIANTS,
-    Finite,
     Realized,
     SynthesisError,
     SynthesisProblem,
@@ -64,8 +63,7 @@ from .synthesis import (
     cegis,
     classify,
     load_problem,
-    synthesize_loop_free,
-    synthesize_pbe,
+    synthesize,
 )
 from .terms import (
     RESERVED_WORDS,
@@ -418,16 +416,7 @@ def _result_pieces(result) -> tuple[str, int, dict, str]:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     problem = _load_problem_checked(args.problem)
-    from .synthesis import _grammar_has_op
-
-    if not _grammar_has_op(problem.grammar, "while"):
-        result = synthesize_loop_free(problem, args.size_budget)
-    elif isinstance(problem.domain, Finite):
-        result = synthesize_pbe(problem, args.size_budget, fuel_cap=args.fuel)
-    else:
-        raise _UsageError(
-            "grammars with loops need a finite domain for synth; "
-            "use cegis for boxed domains")
+    result = synthesize(problem, args.size_budget, fuel_cap=args.fuel)
     tag, code, fields, line = _result_pieces(result)
     obj = {"result": tag, **fields, "stats": _stats_obj(result.stats)}
     _emit(args, obj, [line, _stats_line(result.stats)], quiet_keep=1)

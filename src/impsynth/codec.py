@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .terms import EMPTY, EmptyState, State, Term, TermError, VarUniverse
+from .grammar import is_perfect
+from .terms import EMPTY, EmptyState, State, Term, TermError, VarUniverse, term_height
 
 
 class CodecError(ValueError):
@@ -244,9 +245,6 @@ def encode_term(t: Term, universe: VarUniverse) -> EncodedTree:
     leaves, which all sit at the same depth; pad with `embed` first
     when necessary.
     """
-    from .grammar import is_perfect
-    from .terms import term_height
-
     if not is_perfect(t):
         raise CodecError("term is not a perfect binary tree; embed it first")
     h = term_height(t)

@@ -11,7 +11,11 @@ grammar format.
 Enumeration order is part of the contract: terms come out in
 nondecreasing size, ties broken by the lexicographic order of their
 prefix serialization.  Search results elsewhere in the package are
-reproducible because of this.
+reproducible because of this.  One bottom-up builder, `Levels`, makes
+the terms of each nonterminal size by size: `enumerate_terms` sorts the
+start symbol's levels, and with a class key (such as a term's outcomes
+on a set of examples) each level keeps only the first term of every
+class not seen at a smaller size.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .terms import (
     Term,
     TermError,
     VarUniverse,
+    _read_sexps,
     is_variable_name,
     op_info,
     operand_sorts,
@@ -177,43 +182,74 @@ def enumerate_terms(g: Rtg, max_size: int | None = None) -> Iterator[Term]:
     bound = max_size
     if bound is None and language_finite(g):
         bound = max_term_size(g)
-    memo: dict[tuple[str, int], tuple[Term, ...]] = {}
+    levels = Levels(g)
     n = 1
     while bound is None or n <= bound:
-        batch = _derive(g, g.start, n, memo)
-        for t in sorted(batch, key=to_prefix):
-            yield t
+        yield from sorted(levels.at(g.start, n), key=to_prefix)
         n += 1
 
 
-def _derive(g: Rtg, nt: str, n: int, memo: dict) -> tuple[Term, ...]:
-    """All distinct terms of exactly size n derivable from nt."""
-    key = (nt, n)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    found: set[Term] = set()
-    if n >= 1:
-        for p in g.productions(nt):
+class Levels:
+    """The terms each nonterminal derives at each exact size, built
+    bottom-up from smaller levels and memoised.
+
+    With no key, a level holds every distinct term, in no set order.
+    With ``key(term, size)``, a level of nt keeps, in prefix order, the
+    first term of each key that no smaller term of nt has; larger terms
+    are built from kept terms only, and ``keys`` maps each kept term to
+    its key.  Each derivation is keyed, also of a term that another
+    production derives.  A keyed level is built after the smaller levels
+    of its nonterminal.
+    """
+
+    def __init__(self, g: Rtg, key=None):
+        self._g = g
+        self._key = key
+        self.keys: dict[Term, object] = {}
+        self._levels: dict[tuple[str, int], tuple[Term, ...]] = {}
+        self._seen: dict[str, set] = {nt: set() for nt in g.nonterminals}
+
+    def at(self, nt: str, n: int) -> tuple[Term, ...]:
+        level = self._levels.get((nt, n))
+        if level is None:
+            if self._key and n > 1:
+                self.at(nt, n - 1)
+            level = self._levels[(nt, n)] = self._build(nt, n)
+        return level
+
+    def _build(self, nt: str, n: int) -> tuple[Term, ...]:
+        # a key sees every derivation; without one a set drops repeats
+        found: list[Term] | set[Term] = [] if self._key else set()
+        add = found.append if self._key else found.add
+        for p in self._g.productions(nt):
             k = len(p.operands)
             if k == 0:
                 if n == 1:
-                    found.add(Term(p.op))
+                    add(Term(p.op))
             elif k == 1:
-                for c in _derive(g, p.operands[0], n - 1, memo):
-                    found.add(Term(p.op, (c,)))
+                if n >= 2:
+                    for c in self.at(p.operands[0], n - 1):
+                        add(Term(p.op, (c,)))
             else:
                 for i in range(1, n - 1):
-                    lefts = _derive(g, p.operands[0], i, memo)
+                    lefts = self.at(p.operands[0], i)
                     if not lefts:
                         continue
-                    rights = _derive(g, p.operands[1], n - 1 - i, memo)
+                    rights = self.at(p.operands[1], n - 1 - i)
                     for a in lefts:
                         for b in rights:
-                            found.add(Term(p.op, (a, b)))
-    result = tuple(found)
-    memo[key] = result
-    return result
+                            add(Term(p.op, (a, b)))
+        if not self._key:
+            return tuple(found)
+        seen = self._seen[nt]
+        kept = []
+        for t in sorted(found, key=to_prefix):
+            value = self._key(t, n)
+            if value not in seen:
+                seen.add(value)
+                self.keys[t] = value
+                kept.append(t)
+        return tuple(kept)
 
 
 # --------------------------------------------------------------------------
@@ -428,8 +464,6 @@ def parse_grammar(text: str) -> Rtg:
 
     Example: (grammar (vars x y) (start E) (rule E 1) (rule E (+ E E)))
     """
-    from .terms import _read_sexps  # shared s-expression reader
-
     forms = _read_sexps(text)
     if len(forms) != 1 or not isinstance(forms[0], list) or forms[0][:1] != ["grammar"]:
         raise GrammarError("expected a single (grammar ...) form")

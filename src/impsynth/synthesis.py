@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Iterator, Sequence, Union
 
 from .grammar import (
+    Levels,
     Rtg,
     enumerate_terms,
     language_finite,
@@ -58,7 +59,6 @@ from .terms import (
     VarUniverse,
     _read_sexps,
     term_size,
-    to_prefix,
     variables_of,
 )
 
@@ -80,6 +80,7 @@ __all__ = [
     "VerifyResult",
     "CegisState",
     "verify",
+    "synthesize",
     "synthesize_pbe",
     "synthesize_loop_free",
     "cegis",
@@ -374,6 +375,23 @@ def synthesize_loop_free(problem: SynthesisProblem,
                  SearchStats())
 
 
+def synthesize(problem: SynthesisProblem, size_budget: int,
+               fuel_cap: int = DEFAULT_FUEL_CAP) -> SynthesisResult:
+    """Search with the engine the grammar allows.
+
+    A grammar without ``while`` gets :func:`synthesize_loop_free` on any
+    domain; a grammar with loops gets :func:`synthesize_pbe`, which needs
+    a finite domain.
+    """
+    if not _grammar_has_op(problem.grammar, "while"):
+        return synthesize_loop_free(problem, size_budget)
+    if not isinstance(problem.domain, Finite):
+        raise SynthesisError(
+            "grammars with loops need a finite domain for synth; "
+            "use cegis for boxed domains")
+    return synthesize_pbe(problem, size_budget, fuel_cap=fuel_cap)
+
+
 class _Stream:
     """One size-ordered enumeration read through a cursor.
 
@@ -491,76 +509,19 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
 # Observational-equivalence search (used by the cegis fallback)
 #
 # On a fixed example set, a term's relevant behavior is its outcome on
-# each example.  The enumerator below builds terms bottom-up, size by
-# size, runs every new term on the examples with the real interpreter,
-# and keeps only the first (smallest, then print-order) term of each
-# outcome class.  Classes do not carry over to every composite: in
-# `seq(a, b)`, `b` runs on the state `a` left, where two statements that
-# agree on the examples may differ, so keeping one of them can miss an
-# answer.  The assembled candidate is re-verified for the same reason:
-# its blocks run in sequence and a later guard can read an earlier
-# block's write.
+# each example.  The fallback reads `grammar.Levels` keyed by those
+# outcomes, computed with the real interpreter: size by size, each
+# nonterminal keeps the first term (smallest, then print order) of each
+# outcome class, and larger terms are built from kept terms only.
+# Classes do not carry over to every composite: in `seq(a, b)`, `b`
+# runs on the state `a` left, where two statements that agree on the
+# examples may differ, so keeping one of them can miss an answer.  The
+# assembled candidate is re-verified for the same reason: its blocks
+# run in sequence and a later guard can read an earlier block's write.
 
 # `if` is assembled by the fallback itself; loops and padding are never
 # grown.
 _FALLBACK_SKIP_OPS = frozenset({"if", "while", "nop", "null"})
-
-
-class _ClassEnumerator:
-    def __init__(self, g: Rtg, examples: Sequence[State]):
-        self.g = g
-        self.examples = tuple(examples)
-        # pool[nt] = list of (size, term, key); seen[nt] = known keys
-        self.pool: dict[str, list[tuple[int, Term, object]]] = {
-            nt: [] for nt in g.nonterminals}
-        self.seen: dict[str, set[object]] = {nt: set() for nt in g.nonterminals}
-        self.size = 0
-        self.work = 0  # most fuel the key evaluations could have spent
-
-    def _key(self, t: Term, size: int) -> object:
-        """The outcomes of ``t`` on the examples.  A variable leaf keys by
-        its name, because an assignment target is a name, not a value."""
-        if t.sort is Sort.VAR:
-            return t.op
-        self.work += size * len(self.examples)
-        return tuple(eval_term(t, sigma, size + 1) for sigma in self.examples)
-
-    def _new_terms(self, nt: str, s: int) -> Iterator[Term]:
-        """Every term of size ``s`` that ``nt`` builds from pooled terms."""
-        for prod in self.g.productions(nt):
-            if prod.op in _FALLBACK_SKIP_OPS:
-                continue
-            arity = len(prod.operands)
-            if arity == 0:
-                if s == 1:
-                    yield Term(prod.op)
-            elif arity == 1:
-                for sz, t0, _ in self.pool[prod.operands[0]]:
-                    if sz == s - 1:
-                        yield Term(prod.op, (t0,))
-            elif arity == 2:
-                left_nt, right_nt = prod.operands
-                for sz0, t0, _ in self.pool[left_nt]:
-                    for sz1, t1, _ in self.pool[right_nt]:
-                        if sz0 + sz1 == s - 1:
-                            yield Term(prod.op, (t0, t1))
-
-    def grow_to(self, size_cap: int, work_cap: int) -> bool:
-        """Materialize classes up to ``size_cap``; False if work ran out."""
-        while self.size < size_cap:
-            if self.work > work_cap:
-                return False
-            s = self.size + 1
-            fresh = {nt: sorted(self._new_terms(nt, s), key=to_prefix)
-                     for nt in self.g.nonterminals}
-            for nt, found in fresh.items():
-                for t in found:
-                    key = self._key(t, s)
-                    if key not in self.seen[nt]:
-                        self.seen[nt].add(key)
-                        self.pool[nt].append((s, t, key))
-            self.size = s
-        return True
 
 
 def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
@@ -586,7 +547,6 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
         return None
     guard_nt, body_nt = if_prods[0].operands
 
-    enum = _ClassEnumerator(g, examples)
     placeholder = Term("1")
 
     # the examples that leaving the state untouched does not satisfy
@@ -595,28 +555,40 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
     if not needed:
         return None
 
+    work = 0  # most fuel the key evaluations could have spent
+
+    def outcomes(t: Term, size: int) -> object:
+        """The outcomes of ``t`` on the examples.  A variable leaf keys by
+        its name, because an assignment target is a name, not a value."""
+        nonlocal work
+        if t.sort is Sort.VAR:
+            return t.op
+        work += size * len(examples)
+        return tuple(eval_term(t, sigma, size + 1) for sigma in examples)
+
+    grown = Rtg(g.universe, g.start, tuple(
+        (nt, tuple(p for p in prods if p.op not in _FALLBACK_SKIP_OPS))
+        for nt, prods in g.rules))
+    levels = Levels(grown, outcomes)
     bodies: dict[int, Term] = {}
     guards: dict[int, Term] = {}
-    size_cap = min(size_budget, _FALLBACK_SIZE_CAP)
-
-    body_cursor = guard_cursor = 0
-    for target in range(1, size_cap + 1):
-        if not enum.grow_to(target, _FALLBACK_WORK_CAP):
+    for target in range(1, min(size_budget, _FALLBACK_SIZE_CAP) + 1):
+        if work > _FALLBACK_WORK_CAP:
             return None
-        body_pool = enum.pool[body_nt]
-        while body_cursor < len(body_pool):
-            _, t, outs = body_pool[body_cursor]
-            body_cursor += 1
+        # build every nonterminal's level, not only the two read below,
+        # so that the next check counts all the work of this size
+        for nt in grown.nonterminals:
+            levels.at(nt, target)
+        for t in levels.at(body_nt, target):
+            outs = levels.keys[t]
             for i in needed:
                 if i in bodies:
                     continue
                 stats.evaluations += 1
                 if problem.spec.holds(examples[i], t, outs[i]):
                     bodies[i] = t
-        guard_pool = enum.pool[guard_nt]
-        while guard_cursor < len(guard_pool):
-            _, t, outs = guard_pool[guard_cursor]
-            guard_cursor += 1
+        for t in levels.at(guard_nt, target):
+            outs = levels.keys[t]
             for i in needed:
                 if i not in guards and all(
                         out == BoolValue(j == i) for j, out in enumerate(outs)):
@@ -660,8 +632,7 @@ def _pbe_step(problem: SynthesisProblem, examples: tuple[State, ...],
         return _scan(problem, (), stream, size_budget, stats)
     sub = SynthesisProblem(problem.grammar, Finite(examples), problem.spec,
                            problem.mode)
-    loop_free = not _grammar_has_op(problem.grammar, "while")
-    if engine == "dovetail" or not loop_free:
+    if engine == "dovetail" or _grammar_has_op(problem.grammar, "while"):
         return synthesize_pbe(sub, size_budget, fuel_cap=fuel)
     result = _scan(sub, examples, stream, size_budget, stats)
     if result is not None:

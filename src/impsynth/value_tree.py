@@ -67,7 +67,16 @@ from .semantics import (
     _run,
     apply_op,
 )
-from .terms import EMPTY, EmptyState, Sort, State, Term, VarUniverse, op_info
+from .terms import (
+    EMPTY,
+    EmptyState,
+    Sort,
+    State,
+    Term,
+    VarUniverse,
+    op_info,
+    term_height,
+)
 
 ValueEntry = Union[int, bool, EmptyState]
 StateEntry = Union[State, EmptyState]
@@ -620,8 +629,6 @@ def decode_value_tree(
     e: EncodedTree, f: Term, sigma: State, universe: VarUniverse
 ) -> ValueTree:
     """Rebuild the evidence tree for f from its encoded cells."""
-    from .terms import term_height
-
     if term_height(f) != e.height:
         raise CodecError(
             f"certificate encodes height {e.height}, term has {term_height(f)}"

@@ -349,6 +349,18 @@ def test_synth_unrealizable(run, tmp_path):
     assert out.startswith("unrealizable:")
 
 
+def test_synth_looping_grammar_on_a_finite_domain(run, tmp_path):
+    (tmp_path / "loop.rtg").write_text((FIXTURES / "looping.rtg").read_text())
+    prob = tmp_path / "finite.prob"
+    prob.write_text(
+        "(problem (grammar-file loop.rtg) (mode total)"
+        " (domain (finite (state x 3))) (spec (= (out x) 5)))")
+    code, out, _ = run("synth", "--problem", str(prob), "--size-budget", "7",
+                       "--fuel", "64")
+    assert code == 0
+    assert out.splitlines()[0] == "realized: x := ((1 + 1) + x)"
+
+
 def test_synth_looping_grammar_needs_finite_domain(run, tmp_path):
     (tmp_path / "loop.rtg").write_text((FIXTURES / "looping.rtg").read_text())
     prob = tmp_path / "boxed.prob"

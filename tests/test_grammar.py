@@ -30,6 +30,10 @@ from .test_terms import _exprs, _stmts
 EXPR_GRAMMAR = parse_grammar((FIXTURES / "expr.rtg").read_text())
 EXPR_BIN = to_bin_form(EXPR_GRAMMAR)
 COPY_GRAMMAR = parse_grammar((FIXTURES / "copy.rtg").read_text())
+# two productions of E derive (+ 1 1): (+ E F) and (+ F E)
+AMBIGUOUS = parse_grammar(
+    "(grammar (vars x) (start E) (rule E 1) (rule E x)"
+    " (rule E (+ E F)) (rule E (+ F E)) (rule F 1))")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,17 @@ def test_enumeration_contract():
     assert len(set(terms)) == len(terms)
     assert all(member(EXPR_GRAMMAR, t) for t in terms)
     assert len(terms) == language_size(EXPR_GRAMMAR, 9) == 550
+
+
+def test_enumeration_of_an_ambiguous_grammar_yields_each_term_once():
+    terms = list(enumerate_terms(AMBIGUOUS, 9))
+    assert [to_prefix(t) for t in terms[:8]] == [
+        "1", "x", "(+ 1 1)", "(+ 1 x)", "(+ x 1)",
+        "(+ (+ 1 1) 1)", "(+ (+ 1 x) 1)", "(+ (+ x 1) 1)"]
+    order = [(term_size(t), to_prefix(t)) for t in terms]
+    assert order == sorted(order)
+    assert len(set(terms)) == len(terms) == 47
+    assert language_size(AMBIGUOUS, 9) == 62  # derivations, not terms
 
 
 def test_enumeration_finite_language_stops():

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from impsynth import synthesis
-from impsynth.grammar import enumerate_terms, parse_grammar
-from impsynth.semantics import eval_term
+from impsynth.grammar import Levels, Rtg, enumerate_terms, parse_grammar
+from impsynth.semantics import BoolValue, eval_term
 from impsynth.spec_lang import parse_predicate
 from impsynth.synthesis import (
     BoundedBox,
@@ -28,17 +28,20 @@ from impsynth.synthesis import (
     largest_constant,
     load_problem,
     parse_problem,
+    synthesize,
     synthesize_loop_free,
     synthesize_pbe,
     verify,
 )
 from impsynth.terms import (
+    Sort,
     State,
     VarUniverse,
     parse_prefix,
     parse_term,
     print_term,
     term_size,
+    to_prefix,
 )
 
 from .conftest import FIXTURES
@@ -336,6 +339,22 @@ def test_example_assignment_problem_shape():
     assert str(problem.spec) == "(and (= (out x) y) (= (out y) y))"
 
 
+def test_synthesize_picks_the_engine_from_the_grammar():
+    loop_free = expr_problem("(= out (+ x 2))",
+                             domain=BoundedBox(X, (("x", 0, 5),)))
+    assert synthesize(loop_free, 5) == synthesize_loop_free(loop_free, 5)
+    looping = SynthesisProblem(
+        LOOPING, Finite((State(X, (3,)),)), parse_predicate("(= (out x) 5)"))
+    assert (synthesize(looping, 7, fuel_cap=64)
+            == synthesize_pbe(looping, 7, fuel_cap=64))
+    boxed = SynthesisProblem(
+        LOOPING, BoundedBox(X, (("x", 0, 3),)), parse_predicate("(= (out x) 5)"))
+    with pytest.raises(SynthesisError, match=(
+            "^grammars with loops need a finite domain for synth; "
+            "use cegis for boxed domains$")):
+        synthesize(boxed, 7)
+
+
 # ---------------------------------------------------------------------------
 # Guarded-block fallback
 
@@ -363,6 +382,95 @@ def test_guarded_block_fallback(extra, spec, start, expected):
     result = _decision_list_pbe(problem, 64, SearchStats())
     assert isinstance(result, Realized)
     assert print_term(result.term) == expected
+
+
+# E derives (+ 1 1) twice, by (+ E F) and by (+ F E)
+AMBIGUOUS_E = "(rule E 1) (rule E (+ E F)) (rule E (+ F E)) (rule F 1)"
+
+
+@pytest.mark.parametrize("spec,work_cap,expected,stats", [
+    ("(and (= (out x) (+ x x)) (= (out y) (* 4 x)))", None,
+     "if 1 = 1 then x := (1 + 1); y := (((1 + 1) + 1) + 1)",
+     SearchStats(candidates=1, evaluations=25, fuel_limit=20)),
+    # no body exists; each derivation is evaluated and counted as work,
+    # so the cap trips after the 24th body (after the 31st if the two
+    # derivations of a term counted once)
+    ("(= (out y) (- 0 1))", 2000, None, SearchStats(evaluations=24)),
+], ids=["realized", "work-capped"])
+def test_guarded_block_fallback_on_an_ambiguous_grammar(
+        monkeypatch, spec, work_cap, expected, stats):
+    if work_cap is not None:
+        monkeypatch.setattr(synthesis, "_FALLBACK_WORK_CAP", work_cap)
+    xy = VarUniverse.of("x", "y")
+    problem = SynthesisProblem(
+        parse_grammar(BLOCKS.format(extra=AMBIGUOUS_E)),
+        Finite((State(xy, (1, 0)),)), parse_predicate(spec))
+    found = SearchStats()
+    result = _decision_list_pbe(problem, 64, found)
+    assert (result and print_term(result.term)) == expected
+    assert found == stats
+
+
+def _outcome_levels(g, examples):
+    """Levels of g without `if`, keyed by outcomes on the examples, a
+    variable leaf by its name."""
+    def outcomes(t, size):
+        if t.sort is Sort.VAR:
+            return t.op
+        return tuple(eval_term(t, sigma, size + 1) for sigma in examples)
+
+    grown = Rtg(g.universe, g.start, tuple(
+        (nt, tuple(p for p in prods if p.op != "if")) for nt, prods in g.rules))
+    return Levels(grown, outcomes)
+
+
+# every non-empty level up to size 7
+KEPT_BLOCKS = {
+    ("S", 3): ["(:= x x)", "(:= y x)"],
+    ("S", 5): ["(:= x (+ x x))", "(:= y (+ x x))"],
+    ("S", 7): ["(:= x (+ (+ x x) x))", "(:= y (+ (+ x x) x))"],
+    ("B", 3): ["(= x x)"],
+    ("B", 5): ["(= (+ x x) x)"],
+    ("X", 1): ["x", "y"],
+    ("E", 1): ["x"],
+    ("E", 3): ["(+ x x)"],
+    ("E", 5): ["(+ (+ x x) x)"],
+    ("E", 7): ["(+ (+ (+ x x) x) x)"],
+}
+KEPT_ASSIGN = {
+    ("S", 3): ["(:= x 0)", "(:= x 1)"],
+    ("S", 5): ["(:= x (+ 1 1))"],
+    ("S", 7): ["(:= x (+ (+ 1 1) 1))"],
+    ("B", 3): ["(= 0 y)", "(= 1 y)"],
+    ("B", 5): ["(= (+ 1 1) y)"],
+    ("B", 7): ["(= (+ (+ 1 1) 1) y)"],
+    ("X", 1): ["x"],
+    ("Y", 1): ["y"],
+    ("E", 1): ["0", "1"],
+    ("E", 3): ["(+ 1 1)"],
+    ("E", 5): ["(+ (+ 1 1) 1)"],
+    ("E", 7): ["(+ (+ (+ 1 1) 1) 1)"],
+}
+
+
+T, F = BoolValue(True), BoolValue(False)
+
+
+@pytest.mark.parametrize("grammar,examples,kept,guard_keys", [
+    (parse_grammar(BLOCKS.format(extra="")), [(1, 0)], KEPT_BLOCKS, [(T,)]),
+    (example_assignment_problem(50).grammar, [(0, 0), (0, 1), (0, 2)],
+     KEPT_ASSIGN, [(T, F, F), (F, T, F)]),
+], ids=["blocks", "assignment"])
+def test_keyed_levels_keep_the_first_term_of_each_outcome(
+        grammar, examples, kept, guard_keys):
+    xy = VarUniverse.of("x", "y")
+    levels = _outcome_levels(grammar, [State(xy, v) for v in examples])
+    levels.at(grammar.start, 7)  # builds the smaller levels first
+    for nt in grammar.nonterminals:
+        for n in range(1, 8):
+            assert [to_prefix(t) for t in levels.at(nt, n)] == \
+                kept.get((nt, n), []), (nt, n)
+    assert [levels.keys[t] for t in levels.at("B", 3)] == guard_keys
 
 
 # ---------------------------------------------------------------------------
