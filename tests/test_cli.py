@@ -299,6 +299,21 @@ def test_deep_nesting_is_a_capability_limit(run, argv):
     assert "internal error" not in err
 
 
+def test_long_statement_chain_runs(run):
+    # `;` nests to the right: 900 levels of `seq`
+    chain = "; ".join(["x := x + 1"] * 900)
+    code, out, _ = run("run", "--text", chain, "--state", "x=0")
+    assert code == 0
+    assert out.strip() == "state: x=900"
+
+
+def test_deep_numeral_runs(run):
+    # the numeral desugars to a left-nested chain of 449 additions
+    code, out, _ = run("run", "--text", "x := 450", "--state", "x=0")
+    assert code == 0
+    assert out.strip() == "state: x=450"
+
+
 # ---------------------------------------------------------------------------
 # synth / cegis
 
