@@ -16,19 +16,28 @@ raises a fault, which is distinct from the dummy value and takes
 precedence over it (operands are evaluated left to right and a fault
 aborts immediately).
 
+The interpreter is one recursive walker.  `_run` charges a node and
+hands it to the rule of its operator in `RULES`, one rule per operator,
+built from `LITERALS` and `VALUE_OPS`; a name missing from the table is
+a variable, read from the state by its position.  A chain of `seq` nodes
+nested to the right runs in one frame, so a long statement list does
+not deepen the recursion.  `eval_term`, `loop_trace` and the
+certificate builder (`value_tree.build_value_tree`) all run on it.
+
 An optional tracer receives one callback per node activation, in
 chronological order; the certificate builder uses this to reconstruct
 full per-node evidence without disturbing fuel accounting.  Subtrees
 that an activation skips (padding slots, the body of an `if` whose
 guard is false) are reported to the tracer as dummy activations at zero
-fuel cost.
+fuel cost.  All of this tracer work happens only when a tracer is
+given: an untraced run does none of it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Protocol, Union
+from typing import Callable, Protocol, Union
 
 from .terms import EMPTY, EmptyState, Sort, State, Term, op_info
 
@@ -105,19 +114,18 @@ class Tracer(Protocol):
 
 
 def _child(path: int, i: int) -> int:
-    # heap addressing: children of node p sit at 2p+1 and 2p+2
+    # heap addressing: children of node p sit at 2p+1 and 2p+2 (the rules
+    # below write these out on their hot paths)
     return 2 * path + i + 1
 
 
-def _skip(t: Term, path: int, tracer: Tracer | None) -> None:
+def _skip(t: Term, path: int, tracer: Tracer) -> None:
     """Record a dummy activation for a whole unexecuted subtree.
 
     Statement nodes get the run (EMPTY, EMPTY) except `while`, which
     gets the zero-iteration run (EMPTY,) so that its guard/body entry
     arithmetic matches a real zero-iteration activation.
     """
-    if tracer is None:
-        return
     if t.sort is Sort.STMT:
         if t.op == "while":
             tracer.on_run(path, (EMPTY,))
@@ -128,12 +136,6 @@ def _skip(t: Term, path: int, tracer: Tracer | None) -> None:
         tracer.on_value(path, EMPTY)
     for i, c in enumerate(t.children):
         _skip(c, _child(path, i), tracer)
-
-
-def _skip_padding(t: Term, path: int, tracer: Tracer | None) -> None:
-    real = op_info(t.op).arity
-    for i in range(real, len(t.children)):
-        _skip(t.children[i], _child(path, i), tracer)
 
 
 def _div(a: int, b: int) -> int:
@@ -168,6 +170,13 @@ def apply_op(op: str, *args):
         return None
 
 
+# --------------------------------------------------------------------------
+# The walker: one rule per operator.  A rule runs after its node has been
+# charged, evaluates the children it needs through `_run` and returns the
+# node's unwrapped result.  Every call to the tracer sits behind a
+# `tracer is not None` test.
+
+
 def _run(
     t: Term,
     sigma: Union[State, EmptyState],
@@ -176,89 +185,154 @@ def _run(
     path: int = 0,
 ) -> _Internal:
     if sigma is EMPTY:
-        _skip(t, path, tracer)
+        if tracer is not None:
+            _skip(t, path, tracer)
         return EMPTY
     budget.charge()
-    op = t.op
-    kids = t.children
+    return RULES.get(t.op, _variable)(t, sigma, budget, tracer, path)
 
-    if t.sort in (Sort.EXPR, Sort.VAR, Sort.BOOL, Sort.NULL):
-        v = _run_value(t, sigma, budget, tracer, path)
+
+def _skip_from(t: Term, first: int, path: int, tracer: Tracer) -> None:
+    """Report the operand slots of t from `first` on as skipped."""
+    kids = t.children
+    for i in range(first, len(kids)):
+        _skip(kids[i], _child(path, i), tracer)
+
+
+def _literal(t, sigma, budget, tracer, path):
+    v = LITERALS[t.op]
+    if tracer is not None:
+        _skip_from(t, 0, path, tracer)
+        tracer.on_value(path, v)
+    return v
+
+
+def _variable(t, sigma, budget, tracer, path):
+    v = sigma.values[sigma.universe.index(t.op)]
+    if tracer is not None:
+        _skip_from(t, 0, path, tracer)
+        tracer.on_value(path, v)
+    return v
+
+
+def _padding(t, sigma, budget, tracer, path):
+    if tracer is not None:
+        _skip_from(t, 0, path, tracer)
+        tracer.on_value(path, EMPTY)
+    return EMPTY
+
+
+def _unary(fn):
+    # a widened unary operator ignores its padding slot
+    def rule(t, sigma, budget, tracer, path):
+        a = _run(t.children[0], sigma, budget, tracer, 2 * path + 1)
+        if tracer is not None:
+            _skip_from(t, 1, path, tracer)
+        v = EMPTY if a is EMPTY else fn(a)
         if tracer is not None:
             tracer.on_value(path, v)
         return v
 
-    # statements
-    if op == ":=":
-        target = kids[0]
-        _run(target, sigma, budget, tracer, _child(path, 0))
-        rhs = _run(kids[1], sigma, budget, tracer, _child(path, 1))
-        result: _Internal = EMPTY if rhs is EMPTY else sigma.set(target.op, rhs)
-    elif op == "seq":
-        mid = _run(kids[0], sigma, budget, tracer, _child(path, 0))
-        result = _run(kids[1], mid, budget, tracer, _child(path, 1))
-    elif op == "if":
-        g = _run(kids[0], sigma, budget, tracer, _child(path, 0))
-        if g is EMPTY:
-            _skip(kids[1], _child(path, 1), tracer)
-            result = EMPTY
-        elif g:
-            result = _run(kids[1], sigma, budget, tracer, _child(path, 1))
-        else:
-            _skip(kids[1], _child(path, 1), tracer)
-            result = sigma
-    elif op == "while":
-        states: list = [sigma]
-        cur: _Internal = sigma
-        while True:
-            g = _run(kids[0], cur, budget, tracer, _child(path, 0))
-            if g is EMPTY:
-                cur = EMPTY
-                break
-            if not g:
-                break
-            nxt = _run(kids[1], cur, budget, tracer, _child(path, 1))
-            budget.charge()  # completed iteration
-            cur = nxt
-            if cur is EMPTY:
-                break
-            states.append(cur)
+    return rule
+
+
+def _binary(fn):
+    # strict in both operands, evaluated left to right
+    def rule(t, sigma, budget, tracer, path):
+        left, right = t.children
+        a = _run(left, sigma, budget, tracer, 2 * path + 1)
+        b = _run(right, sigma, budget, tracer, 2 * path + 2)
+        v = EMPTY if a is EMPTY or b is EMPTY else fn(a, b)
         if tracer is not None:
-            tracer.on_run(path, tuple(states) if cur is not EMPTY else tuple(states) + (EMPTY,))
-        return cur
-    else:
-        raise AssertionError(f"unhandled statement {op!r}")
+            tracer.on_value(path, v)
+        return v
 
+    return rule
+
+
+def _assign(t, sigma, budget, tracer, path):
+    target, rhs = t.children
+    _run(target, sigma, budget, tracer, 2 * path + 1)
+    v = _run(rhs, sigma, budget, tracer, 2 * path + 2)
+    out = EMPTY if v is EMPTY else sigma.set(target.op, v)
     if tracer is not None:
-        tracer.on_run(path, (sigma, result))
-    return result
+        tracer.on_run(path, (sigma, out))
+    return out
 
 
-def _run_value(
-    t: Term, sigma: State, budget: Budget, tracer: Tracer | None, path: int
-) -> _Internal:
-    op = t.op
-    kids = t.children
-    if t.sort is Sort.NULL:
-        for i, c in enumerate(kids):
-            _skip(c, _child(path, i), tracer)
-        return EMPTY
-    if op in LITERALS:
-        _skip_padding(t, path, tracer)
-        return LITERALS[op]
-    if t.sort is Sort.VAR:
-        _skip_padding(t, path, tracer)
-        return sigma.get(op)
-    if op == "not":
-        v = _run(kids[0], sigma, budget, tracer, _child(path, 0))
-        _skip_padding(t, path, tracer)
-        return EMPTY if v is EMPTY else VALUE_OPS[op](v)
-    # strict binary operators, left to right
-    a = _run(kids[0], sigma, budget, tracer, _child(path, 0))
-    b = _run(kids[1], sigma, budget, tracer, _child(path, 1))
-    if a is EMPTY or b is EMPTY:
-        return EMPTY
-    return VALUE_OPS[op](a, b)
+def _seq(t, sigma, budget, tracer, path):
+    # A chain of `seq` nodes nested to the right (how `;` parses) runs in
+    # this one frame: each further link is charged here on entry, so a
+    # long statement list does not deepen the recursion.
+    links = []  # (path, input state) of each link, for the tracer
+    while True:
+        first, rest = t.children
+        if tracer is not None:
+            links.append((path, sigma))
+        sigma = _run(first, sigma, budget, tracer, 2 * path + 1)
+        path = 2 * path + 2
+        if rest.op != "seq" or sigma is EMPTY:
+            break
+        budget.charge()
+        t = rest
+    out = _run(rest, sigma, budget, tracer, path)
+    if tracer is not None:
+        for link, before in reversed(links):
+            tracer.on_run(link, (before, out))
+    return out
+
+
+def _if(t, sigma, budget, tracer, path):
+    guard, body = t.children
+    g = _run(guard, sigma, budget, tracer, 2 * path + 1)
+    if g is not EMPTY and g:
+        out = _run(body, sigma, budget, tracer, 2 * path + 2)
+    else:
+        if tracer is not None:
+            _skip(body, 2 * path + 2, tracer)
+        out = EMPTY if g is EMPTY else sigma
+    if tracer is not None:
+        tracer.on_run(path, (sigma, out))
+    return out
+
+
+def _while(t, sigma, budget, tracer, path):
+    guard, body = t.children
+    guard_path, body_path = 2 * path + 1, 2 * path + 2
+    states = [sigma]
+    cur = sigma
+    while True:
+        g = _run(guard, cur, budget, tracer, guard_path)
+        if g is EMPTY:
+            cur = EMPTY
+            break
+        if not g:
+            break
+        cur = _run(body, cur, budget, tracer, body_path)
+        budget.charge()  # completed iteration
+        if cur is EMPTY:
+            break
+        if tracer is not None:
+            states.append(cur)
+    if tracer is not None:
+        tracer.on_run(path, tuple(states) if cur is not EMPTY else (*states, EMPTY))
+    return cur
+
+
+Rule = Callable[[Term, State, Budget, Union[Tracer, None], int], _Internal]
+
+# Names missing from the table are variables.
+RULES: dict[str, Rule] = {
+    **{op: _literal for op in LITERALS},
+    **{op: (_unary if op_info(op).arity == 1 else _binary)(fn)
+       for op, fn in VALUE_OPS.items()},
+    ":=": _assign,
+    "seq": _seq,
+    "if": _if,
+    "while": _while,
+    "nop": _padding,
+    "null": _padding,
+}
 
 
 def _wrap(t: Term, v: _Internal) -> EvalOutcome:

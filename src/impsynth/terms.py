@@ -91,12 +91,19 @@ def is_variable_name(name: str) -> bool:
     return bool(_IDENT_RE.match(name)) and name not in RESERVED_WORDS
 
 
+# variable names already seen by op_info, each mapped to the one OpInfo
+# every variable shares, so a lookup does not run _IDENT_RE again
+_VAR_INFO: dict[str, OpInfo] = {}
+_VAR = OpInfo(Sort.VAR, ())
+
+
 def op_info(op: str) -> OpInfo:
-    info = OP_TABLE.get(op)
+    info = OP_TABLE.get(op) or _VAR_INFO.get(op)
     if info is not None:
         return info
     if is_variable_name(op):
-        return OpInfo(Sort.VAR, ())
+        _VAR_INFO[op] = _VAR
+        return _VAR
     raise SortError(f"unknown operator {op!r}")
 
 
