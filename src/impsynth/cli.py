@@ -42,6 +42,7 @@ from .codec import (
     encode_state,
     encode_term,
     factorial_base_size,
+    heap_height,
 )
 from .grammar import (
     GrammarError,
@@ -126,7 +127,7 @@ def _parse_state(text: str) -> State:
             raise _UsageError(f"expected NAME=VALUE, got {part!r}")
         name, _, raw = part.partition("=")
         name, raw = name.strip(), raw.strip()
-        if not is_variable_name(name) or name in RESERVED_WORDS:
+        if not is_variable_name(name):
             raise _UsageError(f"bad variable name {name!r}")
         if name in names:
             raise _UsageError(f"variable {name!r} listed twice")
@@ -145,7 +146,7 @@ def _parse_vars(text: str) -> VarUniverse:
     if not names:
         raise _UsageError("--vars must list at least one name")
     for name in names:
-        if not is_variable_name(name) or name in RESERVED_WORDS:
+        if not is_variable_name(name):
             raise _UsageError(f"bad variable name {name!r}")
     try:
         return VarUniverse(tuple(names))
@@ -292,21 +293,13 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _height_for_length(length: int) -> int:
-    height = (length + 1).bit_length() - 2
-    if height < 0 or 2 ** (height + 1) - 1 != length:
-        raise _UsageError(
-            f"length {length} is not a complete-tree size (2^(h+1) - 1)")
-    return height
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     if args.as_what == "term":
         if not args.vars:
             raise _UsageError("decode --as term needs --vars")
         universe = _parse_vars(args.vars)
         a, b, length = _parse_numbers(args.numbers, 3, "decode --as term")
-        enc = EncodedTree(BetaPair(a, b, length), _height_for_length(length))
+        enc = EncodedTree(BetaPair(a, b, length), heap_height(length))
         term = decode_term(enc, universe)
         # Encoded terms carry their padding; the prefix form shows it
         # exactly, and the stripped rendering is the program it stands for.
@@ -368,10 +361,9 @@ def _cmd_check_cert(args: argparse.Namespace) -> int:
     raw = _read_file(args.cert).split()
     a, b, length = _parse_numbers(raw, 3, "certificate file")
     try:
-        enc = EncodedTree(BetaPair(a, b, length),
-                          _height_for_length(length))
+        enc = EncodedTree(BetaPair(a, b, length), heap_height(length))
         tree = decode_value_tree(enc, term, sigma, sigma.universe)
-    except (_UsageError, CodecError) as err:
+    except CodecError as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"invalid: malformed certificate ({err})"])
         return 1

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .grammar import is_perfect
-from .terms import EMPTY, EmptyState, State, Term, TermError, VarUniverse, term_height
+from .terms import EMPTY, EmptyState, State, Term, TermError, VarUniverse
 
 
 class CodecError(ValueError):
@@ -238,6 +238,43 @@ class EncodedTree:
             raise CodecError("encoded length must be 2^(height+1) - 1")
 
 
+def heap_height(length: int) -> int:
+    """The height h of a complete binary tree of ``length`` = 2^(h+1) - 1
+    cells; CodecError for any other length."""
+    height = (length + 1).bit_length() - 2
+    if height < 0 or 2 ** (height + 1) - 1 != length:
+        raise CodecError(
+            f"length {length} is not a complete-tree size (2^(h+1) - 1)")
+    return height
+
+
+def encode_heap(root, cell) -> EncodedTree:
+    """The cells ``cell(node)`` of a tree, in heap order, as one triple.
+
+    The children of slot i sit at 2i+1 and 2i+2, so a tree of height h
+    takes 2^(h+1) - 1 slots; slots without a node hold 0.  One preorder
+    walk over ``children`` finds the slots and the height, and a tree too
+    tall to lay out is refused before any cell is computed or allocated.
+    Cells are computed in preorder.
+    """
+    order = []
+    stack = [(root, 0)]
+    while stack:
+        node, i = stack.pop()
+        order.append((node, i))
+        kids = node.children
+        for j in range(len(kids) - 1, -1, -1):
+            stack.append((kids[j], 2 * i + j + 1))
+    # heap indices grow with depth, so the deepest node has the largest one
+    height = (max(i for _, i in order) + 1).bit_length() - 1
+    length = 2 ** (height + 1) - 1
+    factorial_base_size(length)
+    cells = [0] * length
+    for node, i in order:
+        cells[i] = cell(node)
+    return EncodedTree(encode_seq(cells), height)
+
+
 def encode_term(t: Term, universe: VarUniverse) -> EncodedTree:
     """Operator codes in heap order; the tree must be shaped perfectly.
 
@@ -247,18 +284,7 @@ def encode_term(t: Term, universe: VarUniverse) -> EncodedTree:
     """
     if not is_perfect(t):
         raise CodecError("term is not a perfect binary tree; embed it first")
-    h = term_height(t)
-    length = 2 ** (h + 1) - 1
-    factorial_base_size(length)  # refuse before allocating the cells
-    cells = [0] * length
-
-    def fill(node: Term, i: int) -> None:
-        cells[i] = op_code(node.op, universe)
-        for j, c in enumerate(node.children):
-            fill(c, 2 * i + j + 1)
-
-    fill(t, 0)
-    return EncodedTree(encode_seq(cells), h)
+    return encode_heap(t, lambda node: op_code(node.op, universe))
 
 
 def decode_term(e: EncodedTree, universe: VarUniverse) -> Term:

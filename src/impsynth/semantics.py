@@ -335,7 +335,7 @@ RULES: dict[str, Rule] = {
 }
 
 
-def _wrap(t: Term, v: _Internal) -> EvalOutcome:
+def _wrap(v: _Internal) -> EvalOutcome:
     if v is EMPTY:
         return DUMMY
     if isinstance(v, State):
@@ -349,7 +349,7 @@ def eval_term(t: Term, sigma: Union[State, EmptyState], fuel: int) -> EvalOutcom
     """Big-step outcome of t on sigma under the given fuel budget."""
     budget = Budget(fuel)
     try:
-        return _wrap(t, _run(t, sigma, budget))
+        return _wrap(_run(t, sigma, budget))
     except _OutOfFuel:
         return FUEL_EXHAUSTED
     except _FaultSignal as f:

@@ -463,42 +463,36 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
     and all satisfy the predicate is returned immediately, so a
     diverging early candidate cannot block a later solution.  Candidates
     refuted at some fuel stay refuted (more fuel never changes a
-    definite outcome) and are skipped in later rounds.
+    definite outcome) and are dropped; the live ones are checked again
+    in later rounds, before the newly drawn ones.
     """
     if not isinstance(problem.domain, Finite):
         raise SynthesisError("example-based search needs a Finite domain")
     stats = SearchStats()
     examples = problem.domain.examples
     gen = enumerate_terms(problem.grammar, size_budget)
-    pool: list[Term] = []
-    gen_done = False
-    refuted: set[int] = set()
+    live: list[Term] = []
     r = 0
     while True:
         fuel = 2 ** r
         stats.rounds = r + 1
         stats.fuel_limit = max(stats.fuel_limit, min(fuel, fuel_cap))
-        want = 2 ** r
-        while len(pool) < want and not gen_done:
-            nxt = next(gen, None)
-            if nxt is None:
-                gen_done = True
-            else:
-                pool.append(nxt)
-                stats.candidates += 1
-        for i, f in enumerate(pool[:want]):
-            if i in refuted:
-                continue
+        drawn = list(itertools.islice(gen, fuel - stats.candidates))
+        stats.candidates += len(drawn)
+        done = stats.candidates < fuel  # the enumeration ran out
+        kept = []
+        for f in live + drawn:
             ok = _check_all(f, problem, examples, min(fuel, fuel_cap), stats)
             if ok is True:
                 return Realized(f, stats)
-            if ok is False:
-                refuted.add(i)
-        if gen_done and len(refuted) == len(pool):
+            if ok is None:
+                kept.append(f)
+        live = kept
+        if done and not live:
             return _exhausted_verdict(
                 problem, size_budget, stats,
                 "all were checked and none satisfies the predicate")
-        if gen_done and want >= len(pool) and fuel >= fuel_cap:
+        if done and fuel >= fuel_cap:
             return BudgetExhausted(
                 f"candidates remain inconclusive at the fuel cap {fuel_cap}",
                 stats)

@@ -42,9 +42,8 @@ from typing import Iterable, Sequence, Union
 from .codec import (
     CodecError,
     EncodedTree,
-    encode_seq,
     decode_seq,
-    factorial_base_size,
+    encode_heap,
     encode_state,
     decode_state,
     int_to_nat,
@@ -159,23 +158,23 @@ class ValueTree:
 
     def with_payload(self, index: int, payload: NodePayload) -> "ValueTree":
         """Copy of the tree with one node's payload replaced."""
-
-        def rebuild(node: VNode, i: int) -> VNode:
-            if i == index:
-                return VNode(payload, node.children)
-            lo = 2 * i + 1
-            if index < lo or not node.children:
-                return node
-            kids = tuple(rebuild(c, lo + j) for j, c in enumerate(node.children))
-            return VNode(node.payload, kids)
-
-        return ValueTree(self.input, rebuild(self.root, 0))
+        return ValueTree(self.input, _vnodes(
+            self.root, lambda node, i: payload if i == index else node.payload))
 
     def root_output(self) -> Union[ValueEntry, StateEntry]:
         p = self.root.payload
         if isinstance(p, ValuePayload):
             return p.entries[0]
         return p.runs[0][-1]
+
+
+def _vnodes(shape, payload, i: int = 0) -> VNode:
+    """A VNode tree shaped like ``shape`` (a Term or a VNode), holding
+    ``payload(node, i)`` for the shape node at heap index i (children of i
+    at 2i+1, 2i+2).  Payloads are asked for in preorder."""
+    own = payload(shape, i)
+    return VNode(own, tuple(_vnodes(c, payload, 2 * i + j + 1)
+                            for j, c in enumerate(shape.children)))
 
 
 # --------------------------------------------------------------------------
@@ -212,17 +211,12 @@ def build_value_tree(
     except _FaultSignal as fault:
         return Fault(fault.reason)
 
-    def assemble(node: Term, path: int) -> VNode:
-        kids = tuple(
-            assemble(c, 2 * path + j + 1) for j, c in enumerate(node.children)
-        )
+    def payload(node: Term, path: int) -> NodePayload:
         if node.sort is Sort.STMT:
-            payload: NodePayload = StatePayload(tuple(collector.runs.get(path, [])))
-        else:
-            payload = ValuePayload(tuple(collector.values.get(path, [])))
-        return VNode(payload, kids)
+            return StatePayload(tuple(collector.runs.get(path, ())))
+        return ValuePayload(tuple(collector.values.get(path, ())))
 
-    return ValueTree(sigma, assemble(f, 0))
+    return ValueTree(sigma, _vnodes(f, payload))
 
 
 # --------------------------------------------------------------------------
@@ -451,60 +445,46 @@ def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | No
 
     Failure order is post-order (children before parents, left before
     right), so the report names the deepest, leftmost inconsistency.
+    Once the shape matches, no local check raises, so the walk stops at
+    the first failure.
     """
     _check_shape(f, v.root)
-    verdicts: dict[int, bool] = {}
 
-    def visit(node: Term, vn: VNode, path: int, inputs) -> None:
-        """Check one node locally; `inputs` lists the per-activation input
-        states of value nodes and is None for statements, whose runs carry
-        their own states."""
-        ok = True
+    def first_bad(node: Term, vn: VNode, path: int, inputs) -> int | None:
+        """Heap index of the first failing node of this subtree, or None;
+        `inputs` lists the per-activation input states of value nodes and is
+        None for statements, whose runs carry their own states."""
         payload = vn.payload
+        starts = inputs  # the input states of the children's activations
         if node.sort is Sort.STMT:
             runs = payload.runs  # type: ignore[union-attr]
-            if path == 0:
-                ok = len(runs) == 1 and _state_equal(runs[0][0], sigma)
-            ok = ok and check_node(
-                node.op, payload, vn.children[0].payload, vn.children[1].payload,
-                target=node.children[0].op if node.op == ":=" else None,
-            )
+            ok = path != 0 or len(runs) == 1 and _state_equal(runs[0][0], sigma)
             if node.op == "while":
                 # the guard is checked at every state of every trace
                 starts = [s for run in runs for s in run]
             else:
                 starts = [r[0] for r in runs]
-            for j, (fc, vc) in enumerate(zip(node.children, vn.children)):
-                visit(fc, vc, 2 * path + j + 1,
-                      None if fc.sort is Sort.STMT else starts)
         else:
-            if path == 0:
-                ok = len(payload.entries) == 1  # type: ignore[union-attr]
-            if not node.children:
-                ok = ok and check_leaf(node.op, payload, list(inputs))
-            else:
-                ok = ok and check_node(
-                    node.op,
-                    payload,
-                    vn.children[0].payload,
-                    vn.children[1].payload if len(vn.children) > 1 else None,
-                    inputs=list(inputs),
-                )
-                for j, (fc, vc) in enumerate(zip(node.children, vn.children)):
-                    visit(fc, vc, 2 * path + j + 1, list(inputs))
-        verdicts[path] = ok
+            ok = path != 0 or len(payload.entries) == 1  # type: ignore[union-attr]
+        for j, (fc, vc) in enumerate(zip(node.children, vn.children)):
+            bad = first_bad(fc, vc, 2 * path + j + 1,
+                            None if fc.sort is Sort.STMT else starts)
+            if bad is not None:
+                return bad
+        kids = vn.children
+        if not kids:
+            ok = ok and check_leaf(node.op, payload, inputs)
+        else:
+            ok = ok and check_node(
+                node.op, payload, kids[0].payload,
+                kids[1].payload if len(kids) > 1 else None,
+                inputs=inputs,
+                target=node.children[0].op if node.op == ":=" else None,
+            )
+        return None if ok else path
 
-    visit(f, v.root, 0, None if f.sort is Sort.STMT else [sigma])
-
-    def postorder(node: Term, path: int):
-        for j, c in enumerate(node.children):
-            yield from postorder(c, 2 * path + j + 1)
-        yield path
-
-    for path in postorder(f, 0):
-        if not verdicts.get(path, True):
-            return False, path
-    return True, None
+    bad = first_bad(f, v.root, 0, None if f.sort is Sort.STMT else [sigma])
+    return bad is None, bad
 
 
 def validate(f: Term, sigma: State, v: ValueTree) -> bool:
@@ -595,12 +575,6 @@ def decode_payload_cell(
     return StatePayload(tuple(runs))
 
 
-def _vnode_height(v: VNode) -> int:
-    if not v.children:
-        return 0
-    return 1 + max(_vnode_height(c) for c in v.children)
-
-
 def encode_value_tree(v: ValueTree) -> EncodedTree:
     """Heap-order payload cells compressed into one integer triple.
 
@@ -611,18 +585,7 @@ def encode_value_tree(v: ValueTree) -> EncodedTree:
     exact, not compact — and then this raises a CodecError; so does a
     tree too tall to lay out, before its cells are allocated.
     """
-    h = _vnode_height(v.root)
-    length = 2 ** (h + 1) - 1
-    factorial_base_size(length)  # refuse before allocating the cells
-    cells = [0] * length
-
-    def fill(node: VNode, i: int) -> None:
-        cells[i] = payload_cell(node.payload)
-        for j, c in enumerate(node.children):
-            fill(c, 2 * i + j + 1)
-
-    fill(v.root, 0)
-    return EncodedTree(encode_seq(cells), h)
+    return encode_heap(v.root, lambda node: payload_cell(node.payload))
 
 
 def decode_value_tree(
@@ -634,10 +597,5 @@ def decode_value_tree(
             f"certificate encodes height {e.height}, term has {term_height(f)}"
         )
     cells = decode_seq(e.seq)
-
-    def build(node: Term, i: int) -> VNode:
-        payload = decode_payload_cell(cells[i], node.sort, universe)
-        kids = tuple(build(c, 2 * i + j + 1) for j, c in enumerate(node.children))
-        return VNode(payload, kids)
-
-    return ValueTree(sigma, build(f, 0))
+    return ValueTree(sigma, _vnodes(
+        f, lambda node, i: decode_payload_cell(cells[i], node.sort, universe)))

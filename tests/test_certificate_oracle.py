@@ -161,7 +161,8 @@ def test_validate_report_mutation_sweep_hash():
 
 
 def _raise_problem(grammar, a: str, pairs):
-    """"Raise a to b+1" over the loop grammar on the given (a, b) examples."""
+    """The problem "raise a to b+1" over the loop grammar, on the given
+    (a, b) examples."""
     b = "y" if a == "x" else "x"
     top = f"(+ {b} 1)"
     spec = parse_predicate(

@@ -15,9 +15,11 @@ from impsynth.codec import (
     decode_seq,
     decode_state,
     decode_term,
+    encode_heap,
     encode_seq,
     encode_state,
     encode_term,
+    heap_height,
     int_to_nat,
     list_to_nat,
     nat_to_int,
@@ -31,6 +33,7 @@ from impsynth.codec import (
 from impsynth.grammar import embed
 from impsynth.terms import EMPTY, State, Term, VarUniverse, parse_term
 
+from .conftest import numeral
 from .test_terms import _exprs
 
 X = VarUniverse.of("x")
@@ -216,6 +219,20 @@ def test_decode_term_rejects_ill_sorted_cells():
 def test_encoded_tree_length_check():
     with pytest.raises(CodecError):
         EncodedTree(encode_seq([3, 3]), 1)  # height 1 needs 3 cells
+
+
+def test_heap_height_reads_complete_tree_sizes():
+    assert [heap_height(2 ** (h + 1) - 1) for h in range(6)] == list(range(6))
+    for length in (0, 2, 6, 8, 30):
+        with pytest.raises(CodecError, match="complete-tree size"):
+            heap_height(length)
+
+
+def test_encode_heap_refuses_before_computing_cells():
+    asked = []
+    with pytest.raises(CodecError, match="factorial base"):
+        encode_heap(numeral(40), lambda node: asked.append(node) or 0)
+    assert asked == []
 
 
 def test_single_leaf_term():
