@@ -127,28 +127,58 @@ def sort_fits(actual: Sort, expected: Sort) -> bool:
     return actual is expected or (actual is Sort.VAR and expected is Sort.EXPR)
 
 
-@dataclass(frozen=True)
+# (operator, child count) -> (operand sorts, result sort), filled on first
+# use so that building a node does not look its operator up again
+_SIGNATURES: dict[tuple[str, int], tuple[tuple[Sort, ...], Sort]] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Term:
     """One node of an IMP syntax tree.
 
     `children` must match the operator's plain signature or, for
     operators of arity below two (except `null`), the widened binary
     signature with Null-sorted padding in the missing slots.
+
+    A term carries its sort and its size (node count), both set when it
+    is built, and caches its prefix form on the first `to_prefix`.  Hash
+    and equality are those of the prefix form, which `parse_prefix`
+    inverts, so two terms are equal exactly when they have the same
+    operator and equal children.
     """
 
     op: str
     children: tuple["Term", ...] = ()
-    sort: Sort = field(init=False, compare=False, repr=False)
+    sort: Sort = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)
+    _prefix: str | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        for child, want in zip(self.children,
-                               operand_sorts(self.op, len(self.children))):
-            if not sort_fits(child.sort, want):
+        key = (self.op, len(self.children))
+        signature = _SIGNATURES.get(key)
+        if signature is None:
+            signature = _SIGNATURES[key] = (operand_sorts(*key),
+                                            op_info(self.op).sort)
+        size = 1
+        for child, want in zip(self.children, signature[0]):
+            if child.sort is not want and not sort_fits(child.sort, want):
                 raise SortError(
                     f"operand of {self.op!r} has sort {child.sort.value}, "
                     f"expected {want.value}"
                 )
-        object.__setattr__(self, "sort", op_info(self.op).sort)
+            size += child.size
+        object.__setattr__(self, "sort", signature[1])
+        object.__setattr__(self, "size", size)
+
+    def __hash__(self) -> int:
+        return hash(to_prefix(self))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        return to_prefix(self) == to_prefix(other)
 
     @property
     def is_padded(self) -> bool:
@@ -158,21 +188,28 @@ class Term:
         return f"Term<{to_prefix(self)}>"
 
     def walk(self) -> Iterator["Term"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node in preorder, children left to right."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t
+            stack.extend(reversed(t.children))
 
 
 def term_size(t: Term) -> int:
     """Number of nodes, padding nodes included."""
-    return 1 + sum(term_size(c) for c in t.children)
+    return t.size
 
 
 def term_height(t: Term) -> int:
     """Edge count of the longest root-to-leaf path; a leaf has height 0."""
-    if not t.children:
-        return 0
-    return 1 + max(term_height(c) for c in t.children)
+    height = 0
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        stack.extend((c, depth + 1) for c in node.children)
+    return height
 
 
 def is_binform(t: Term) -> bool:
@@ -522,9 +559,17 @@ def print_term(t: Term) -> str:
 
 
 def to_prefix(t: Term) -> str:
-    if not t.children:
-        return t.op
-    return "(" + " ".join([t.op] + [to_prefix(c) for c in t.children]) + ")"
+    """The prefix form, kept on the term after the first call and built
+    from the children's kept forms, so each node's form is joined once."""
+    prefix = t._prefix
+    if prefix is None:
+        if t.children:
+            prefix = ("(" + " ".join([t.op] + [to_prefix(c) for c in t.children])
+                      + ")")
+        else:
+            prefix = t.op
+        object.__setattr__(t, "_prefix", prefix)
+    return prefix
 
 
 _SEXP_TOKEN_RE = re.compile(r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+))")

@@ -1,8 +1,11 @@
 """Syntax layer: sorts, padding shapes, both concrete syntaxes, states."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
+from impsynth.grammar import enumerate_terms, parse_grammar, to_bin_form
 from impsynth.terms import (
     EMPTY,
     OP_TABLE,
@@ -25,6 +28,8 @@ from impsynth.terms import (
     to_prefix,
     variables_of,
 )
+
+from .conftest import FIXTURES
 
 X = VarUniverse.of("x")
 XY = VarUniverse.of("x", "y")
@@ -104,6 +109,71 @@ def test_size_height_walk():
     assert term_size(t) == 5
     assert term_height(t) == 2
     assert [n.op for n in t.walk()] == [":=", "x", "+", "x", "1"]
+    assert variables_of(t) == {"x"}
+
+
+def _node_count(t: Term) -> int:
+    return 1 + sum(_node_count(c) for c in t.children)
+
+
+def _invariant_sweep() -> list[Term]:
+    """Every term of two fixture grammars and their bin forms up to a
+    size, then the parser's numerals."""
+    terms = []
+    for name in ("expr.rtg", "looping.rtg"):
+        g = parse_grammar((FIXTURES / name).read_text())
+        terms += enumerate_terms(g, 9)
+        terms += enumerate_terms(to_bin_form(g), 13)
+    terms += [parse_term(f"x := {n}") for n in range(60)]
+    return terms
+
+
+def test_terms_carry_size_hash_and_prefix_equality():
+    terms = _invariant_sweep()
+    for t in terms:
+        assert t.size == term_size(t) == _node_count(t)
+        u = parse_prefix(to_prefix(t))
+        assert u is not t
+        assert u == t and hash(u) == hash(t)
+        assert t.__eq__(to_prefix(t)) is NotImplemented
+    for a, b in zip(terms, terms[1:]):
+        assert to_prefix(a) != to_prefix(b)
+        assert a != b and not a == b
+    # the sweep repeats some terms (`x := 1` is in a grammar and a numeral)
+    assert len(set(terms)) == len({to_prefix(t) for t in terms}) < len(terms)
+
+
+def test_terms_are_frozen_without_dict():
+    t = parse_term("x := x + 1")
+    for name, value in (("op", "y"), ("children", ()), ("size", 1),
+                        ("sort", Sort.VAR), ("_prefix", "x")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, value)
+    assert not hasattr(t, "__dict__")
+    assert to_prefix(t) == "(:= x (+ x 1))"
+
+
+@pytest.mark.parametrize("op,children,message", [
+    ("+", (Term("true"), Term("1")), "operand of '+' has sort bool, expected expr"),
+    (":=", (Term("1"), Term("x")), "operand of ':=' has sort expr, expected var"),
+    ("not", (Term("1"), Term("null")), "operand of 'not' has sort expr, expected bool"),
+    ("+", (Term("1"),), "operator '+' takes 2 operands, got 1"),
+    ("null", (Term("null"), Term("null")), "operator 'null' takes 0 operands, got 2"),
+    ("2%2", (), "unknown operator '2%2'"),
+])
+def test_sort_error_texts(op, children, message):
+    # twice: the second build reads the memoised signature
+    for _ in range(2):
+        with pytest.raises(SortError) as err:
+            Term(op, children)
+        assert str(err.value) == message
+
+
+def test_deep_terms_walk_without_recursion():
+    t = parse_term("x := 5000")  # numerals are built by a loop
+    assert term_size(t) == 2 * 5000 + 1
+    assert term_height(t) == 5000
+    assert sum(1 for _ in t.walk()) == term_size(t)
     assert variables_of(t) == {"x"}
 
 
