@@ -5,15 +5,26 @@ the digest with a pinned value, so any change to the enumeration order,
 a term's size or prefix form, the guarded-block fallback's answer or a
 CEGIS round trace and its counters shows up as a different digest.  The
 sweeps read `bench/loops.rtg` and the fixture grammars and problems;
-all are inputs only.
+all are inputs only.  A sweep of seeded random grammars pins whether
+each language is finite and the size of its largest member.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pathlib
+import random
 
-from impsynth.grammar import enumerate_terms, parse_grammar, to_bin_form
+from impsynth.grammar import (
+    GrammarError,
+    Production,
+    Rtg,
+    enumerate_terms,
+    language_finite,
+    max_term_size,
+    parse_grammar,
+    to_bin_form,
+)
 from impsynth.synthesis import (
     Finite,
     SearchStats,
@@ -23,7 +34,15 @@ from impsynth.synthesis import (
     example_assignment_problem,
     load_problem,
 )
-from impsynth.terms import State, term_size, to_prefix
+from impsynth.terms import (
+    Sort,
+    State,
+    VarUniverse,
+    op_info,
+    sort_fits,
+    term_size,
+    to_prefix,
+)
 
 from .conftest import FIXTURES
 
@@ -113,3 +132,59 @@ def test_cegis_fixture_trace_hash():
     assert digest.hexdigest() == (
         "581d722b3b0a724d442b897efa87a752"
         "883c6dbd1cb4bb675d8d0b817c494854")
+
+
+# operators by result sort, for the random grammars below; a VAR
+# nonterminal derives variables only and may stand for an expression
+_OPS_BY_SORT = {
+    Sort.EXPR: ["0", "1", "x", "y", "+", "-", "*", "/"],
+    Sort.BOOL: ["true", "false", "not", "and", "<", "="],
+    Sort.STMT: [":=", "seq", "if", "while"],
+    Sort.VAR: ["x", "y"],
+}
+
+
+def _random_grammar(rng: random.Random) -> Rtg:
+    """A well-sorted grammar over 1-6 nonterminals with 0-4 productions
+    each.  Operands lean towards later nonterminals, so many grammars
+    are finite with large members; self-loops, cycles, unproductive and
+    unreachable nonterminals all arise."""
+    names = [f"N{i}" for i in range(rng.randint(1, 6))]
+    sorts = {nt: rng.choice(list(_OPS_BY_SORT)) for nt in names}
+    rules = []
+    for i, nt in enumerate(names):
+        prods = []
+        for _ in range(rng.randint(1 if i == 0 else 0, 4)):
+            op = rng.choice(_OPS_BY_SORT[sorts[nt]])
+            operands = []
+            for want in op_info(op).operands:
+                pool = names[i + 1:] if rng.random() < 0.6 else names
+                fits = [m for m in pool if sort_fits(sorts[m], want)]
+                if not fits:
+                    break
+                operands.append(rng.choice(fits))
+            else:
+                p = Production(op, tuple(operands))
+                if p not in prods:
+                    prods.append(p)
+        rules.append((nt, tuple(prods)))
+    return Rtg(VarUniverse.of("x", "y"), "N0", tuple(rules))
+
+
+def test_finiteness_sweep_hash():
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    finite = 0
+    for _ in range(2000):
+        g = _random_grammar(rng)
+        is_finite = language_finite(g)
+        try:
+            biggest = max_term_size(g)
+        except GrammarError as err:
+            biggest = str(err)
+        finite += is_finite
+        digest.update(f"{g.rules} {is_finite} {biggest}\n".encode())
+    assert finite == 1795
+    assert digest.hexdigest() == (
+        "a2fa935774d6202c6e4d50e7909f3e6d"
+        "e16f231d3510d3a129429fe5d9eab5c8")
