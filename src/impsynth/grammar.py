@@ -179,9 +179,7 @@ def enumerate_terms(g: Rtg, max_size: int | None = None) -> Iterator[Term]:
     """
     if max_size is not None and max_size < 1:
         return
-    bound = max_size
-    if bound is None and language_finite(g):
-        bound = max_term_size(g)
+    bound = max_size if max_size is not None else _largest(g)
     levels = Levels(g)
     n = 1
     while bound is None or n <= bound:
@@ -272,70 +270,56 @@ def _productive(g: Rtg) -> set[str]:
     return productive
 
 
-def _reachable(g: Rtg, productive: set[str]) -> set[str]:
-    if g.start not in productive:
-        return set()
-    seen = {g.start}
-    stack = [g.start]
-    while stack:
-        nt = stack.pop()
-        for p in g.productions(nt):
-            if not all(o in productive for o in p.operands):
-                continue
-            for o in p.operands:
-                if o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-    return seen
+def _largest(g: Rtg) -> int | None:
+    """Size of the largest member of L(g), 0 when L(g) is empty, None when
+    it is infinite.
 
-
-def language_finite(g: Rtg) -> bool:
-    """True when L(g) is finite: no usable nonterminal cycle."""
-    productive = _productive(g)
-    live = _reachable(g, productive)
-    # cycle detection over the operand graph restricted to live nonterminals
-    color: dict[str, int] = {}
-
-    def visit(nt: str) -> bool:
-        color[nt] = 1
-        for p in g.productions(nt):
-            if not all(o in productive for o in p.operands):
-                continue
-            for o in p.operands:
-                if o not in live:
-                    continue
-                c = color.get(o, 0)
-                if c == 1:
-                    return False
-                if c == 0 and not visit(o):
-                    return False
-        color[nt] = 2
-        return True
-
-    return all(visit(nt) for nt in live if color.get(nt, 0) == 0)
-
-
-def max_term_size(g: Rtg) -> int:
-    """Largest member size of a finite language (0 if the language is empty)."""
-    if not language_finite(g):
-        raise GrammarError("language is infinite")
+    One memoised depth-first walk from the start symbol, over the
+    productions whose operands are all productive.  Reaching a
+    nonterminal that is still on the walk's stack closes a usable cycle,
+    so the language is infinite.
+    """
     productive = _productive(g)
     if g.start not in productive:
         return 0
     memo: dict[str, int] = {}
+    on_stack: set[str] = set()
 
-    def biggest(nt: str) -> int:
+    def biggest(nt: str) -> int | None:
         if nt in memo:
             return memo[nt]
+        if nt in on_stack:
+            return None
+        on_stack.add(nt)
         best = 0
         for p in g.productions(nt):
             if not all(o in productive for o in p.operands):
                 continue
-            best = max(best, 1 + sum(biggest(o) for o in p.operands))
+            size = 1
+            for o in p.operands:
+                below = biggest(o)
+                if below is None:
+                    return None
+                size += below
+            best = max(best, size)
+        on_stack.remove(nt)
         memo[nt] = best
         return best
 
     return biggest(g.start)
+
+
+def language_finite(g: Rtg) -> bool:
+    """True when L(g) is finite: no usable nonterminal cycle."""
+    return _largest(g) is not None
+
+
+def max_term_size(g: Rtg) -> int:
+    """Largest member size of a finite language (0 if the language is empty)."""
+    biggest = _largest(g)
+    if biggest is None:
+        raise GrammarError("language is infinite")
+    return biggest
 
 
 def language_size(g: Rtg, max_size: int) -> int:

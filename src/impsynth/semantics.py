@@ -8,13 +8,17 @@ and never charged, which keeps the fuel use of a padded term identical
 to that of the term it was padded from.
 
 The dummy value is `terms.EMPTY`.  Padding nodes (`nop`, `null`) yield
-it, and any operator consuming it yields it again, except that widened
-nullary and unary operators ignore their padding slots outright.  In a
-well-sorted term over a real input state the dummy value therefore
-surfaces only when the root itself is a padding node.  Division by zero
-raises a fault, which is distinct from the dummy value and takes
-precedence over it (operands are evaluated left to right and a fault
-aborts immediately).
+it, and widened nullary and unary operators ignore their padding slots
+outright.  A term refuses a Null-sorted child in a real operand slot, so
+in a well-sorted term over a real input state the dummy value surfaces
+only when the root itself is a padding node, and no rule below ever
+meets a dummy operand.  The dummy input state is handled once, where a
+run starts: `eval_term` gives the dummy value, `loop_trace` a
+"dummy guard" fault, and the certificate builder an all-dummy evidence
+tree.  The rule that a dummy operand gives a dummy result is written in
+one place, `value_tree.check_node`, which checks the evidence of
+skipped subtrees.  Division by zero raises a fault, which is distinct
+from the dummy value.
 
 The interpreter is one recursive walker.  `_run` charges a node and
 hands it to the rule of its operator in `RULES`, one rule per operator,
@@ -179,15 +183,11 @@ def apply_op(op: str, *args):
 
 def _run(
     t: Term,
-    sigma: Union[State, EmptyState],
+    sigma: State,
     budget: Budget,
     tracer: Tracer | None = None,
     path: int = 0,
 ) -> _Internal:
-    if sigma is EMPTY:
-        if tracer is not None:
-            _skip(t, path, tracer)
-        return EMPTY
     budget.charge()
     return RULES.get(t.op, _variable)(t, sigma, budget, tracer, path)
 
@@ -228,7 +228,7 @@ def _unary(fn):
         a = _run(t.children[0], sigma, budget, tracer, 2 * path + 1)
         if tracer is not None:
             _skip_from(t, 1, path, tracer)
-        v = EMPTY if a is EMPTY else fn(a)
+        v = fn(a)
         if tracer is not None:
             tracer.on_value(path, v)
         return v
@@ -242,7 +242,7 @@ def _binary(fn):
         left, right = t.children
         a = _run(left, sigma, budget, tracer, 2 * path + 1)
         b = _run(right, sigma, budget, tracer, 2 * path + 2)
-        v = EMPTY if a is EMPTY or b is EMPTY else fn(a, b)
+        v = fn(a, b)
         if tracer is not None:
             tracer.on_value(path, v)
         return v
@@ -254,7 +254,7 @@ def _assign(t, sigma, budget, tracer, path):
     target, rhs = t.children
     _run(target, sigma, budget, tracer, 2 * path + 1)
     v = _run(rhs, sigma, budget, tracer, 2 * path + 2)
-    out = EMPTY if v is EMPTY else sigma.set(target.op, v)
+    out = sigma.set(target.op, v)
     if tracer is not None:
         tracer.on_run(path, (sigma, out))
     return out
@@ -271,7 +271,7 @@ def _seq(t, sigma, budget, tracer, path):
             links.append((path, sigma))
         sigma = _run(first, sigma, budget, tracer, 2 * path + 1)
         path = 2 * path + 2
-        if rest.op != "seq" or sigma is EMPTY:
+        if rest.op != "seq":
             break
         budget.charge()
         t = rest
@@ -284,13 +284,12 @@ def _seq(t, sigma, budget, tracer, path):
 
 def _if(t, sigma, budget, tracer, path):
     guard, body = t.children
-    g = _run(guard, sigma, budget, tracer, 2 * path + 1)
-    if g is not EMPTY and g:
+    if _run(guard, sigma, budget, tracer, 2 * path + 1):
         out = _run(body, sigma, budget, tracer, 2 * path + 2)
     else:
         if tracer is not None:
             _skip(body, 2 * path + 2, tracer)
-        out = EMPTY if g is EMPTY else sigma
+        out = sigma
     if tracer is not None:
         tracer.on_run(path, (sigma, out))
     return out
@@ -301,21 +300,13 @@ def _while(t, sigma, budget, tracer, path):
     guard_path, body_path = 2 * path + 1, 2 * path + 2
     states = [sigma]
     cur = sigma
-    while True:
-        g = _run(guard, cur, budget, tracer, guard_path)
-        if g is EMPTY:
-            cur = EMPTY
-            break
-        if not g:
-            break
+    while _run(guard, cur, budget, tracer, guard_path):
         cur = _run(body, cur, budget, tracer, body_path)
         budget.charge()  # completed iteration
-        if cur is EMPTY:
-            break
         if tracer is not None:
             states.append(cur)
     if tracer is not None:
-        tracer.on_run(path, tuple(states) if cur is not EMPTY else (*states, EMPTY))
+        tracer.on_run(path, tuple(states))
     return cur
 
 
@@ -348,6 +339,8 @@ def _wrap(v: _Internal) -> EvalOutcome:
 def eval_term(t: Term, sigma: Union[State, EmptyState], fuel: int) -> EvalOutcome:
     """Big-step outcome of t on sigma under the given fuel budget."""
     budget = Budget(fuel)
+    if sigma is EMPTY:
+        return DUMMY
     try:
         return _wrap(_run(t, sigma, budget))
     except _OutOfFuel:
@@ -362,7 +355,7 @@ def terminate_within(t: Term, sigma: Union[State, EmptyState], n: int) -> bool:
 
 
 def loop_trace(
-    b: Term, s: Term, sigma: State, fuel: int
+    b: Term, s: Term, sigma: Union[State, EmptyState], fuel: int
 ) -> Union[tuple, Fault, FuelExhausted]:
     """Witness sequence of the loop `while b do s` started at sigma.
 
@@ -371,27 +364,21 @@ def loop_trace(
     evaluating the loop itself: one unit for the loop node, the usual
     cost of every guard and body evaluation, one unit per completed
     iteration.  Rebuilt here from single-step evaluations rather than by
-    calling the loop rule of the interpreter.
+    calling the loop rule of the interpreter.  On the dummy input state
+    the loop node is charged and the result is a "dummy guard" fault.
     """
     if b.sort is not Sort.BOOL or s.sort is not Sort.STMT:
         raise ValueError("loop_trace needs a Boolean guard and a Statement body")
     budget = Budget(fuel)
     states = [sigma]
-    cur = sigma
     try:
         budget.charge()  # the loop node itself
-        while True:
-            g = _run(b, cur, budget)
-            if g is EMPTY:
-                return Fault("dummy guard")
-            if not g:
-                return tuple(states)
-            nxt = _run(s, cur, budget)
+        if sigma is EMPTY:
+            return Fault("dummy guard")
+        while _run(b, states[-1], budget):
+            states.append(_run(s, states[-1], budget))
             budget.charge()
-            if nxt is EMPTY or not isinstance(nxt, State):
-                return Fault("dummy body")
-            states.append(nxt)
-            cur = nxt
+        return tuple(states)
     except _OutOfFuel:
         return FUEL_EXHAUSTED
     except _FaultSignal as f:

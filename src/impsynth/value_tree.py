@@ -64,6 +64,7 @@ from .semantics import (
     _FaultSignal,
     _OutOfFuel,
     _run,
+    _skip,
     apply_op,
 )
 from .terms import (
@@ -196,16 +197,21 @@ class _Collector:
 
 
 def build_value_tree(
-    f: Term, sigma: State, fuel: int
+    f: Term, sigma: Union[State, EmptyState], fuel: int
 ) -> Union[ValueTree, Fault, FuelExhausted]:
     """The unique validating evidence tree, via instrumented evaluation.
 
     Fuel accounting matches eval exactly, so this returns FuelExhausted
-    precisely when eval does; faults are likewise passed through.
+    precisely when eval does; faults are likewise passed through.  On
+    the dummy input state every node holds the dummy evidence.
     """
     collector = _Collector()
+    budget = Budget(fuel)  # checks the fuel, also on the dummy input
     try:
-        _run(f, sigma, Budget(fuel), collector, 0)
+        if sigma is EMPTY:
+            _skip(f, 0, collector)
+        else:
+            _run(f, sigma, budget, collector, 0)
     except _OutOfFuel:
         return FUEL_EXHAUSTED
     except _FaultSignal as fault:
