@@ -58,24 +58,16 @@ class Production:
 
 
 @dataclass(frozen=True)
-class BinformTag:
-    """Marks a grammar as the padded binary form of a plain grammar.
-
-    `widened` maps each operator that gained padding slots to its
-    original arity.
-    """
-
-    widened: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
 class Rtg:
-    """Regular tree grammar; rules keep declaration order per nonterminal."""
+    """Regular tree grammar; rules keep declaration order per nonterminal.
+
+    `binform` marks the padded binary form of a plain grammar.
+    """
 
     universe: VarUniverse
     start: str
     rules: tuple[tuple[str, tuple[Production, ...]], ...]
-    binform: BinformTag | None = None
+    binform: bool = False
     _by_nt: dict = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -88,7 +80,7 @@ class Rtg:
             for p in prods:
                 self._check_production(nt, p, by_nt)
         object.__setattr__(self, "_by_nt", by_nt)
-        if self.binform is not None:
+        if self.binform:
             self._check_binform_tag(by_nt)
 
     def _check_production(self, nt: str, p: Production, by_nt: dict) -> None:
@@ -354,7 +346,7 @@ def language_size(g: Rtg, max_size: int) -> int:
 
 def to_bin_form(g: Rtg) -> Rtg:
     """Widen every operator to arity two, padding slots with the Null nonterminal."""
-    if g.binform is not None:
+    if g.binform:
         raise GrammarError("grammar is already a padded binary form")
     if NULL_NT in g._by_nt:
         raise GrammarError(f"nonterminal name {NULL_NT} is reserved")
@@ -367,7 +359,6 @@ def to_bin_form(g: Rtg) -> Rtg:
             pad = 2 - op_info(p.op).arity
             out.append(Production(p.op, p.operands + (NULL_NT,) * pad))
         new_rules.append((nt, tuple(out)))
-    widened = _infer_widened(tuple(new_rules))
     new_rules.append(
         (NULL_NT, (Production("null"), Production("nop", (NULL_NT, NULL_NT))))
     )
@@ -375,7 +366,7 @@ def to_bin_form(g: Rtg) -> Rtg:
         universe=g.universe,
         start=g.start,
         rules=tuple(new_rules),
-        binform=BinformTag(widened),
+        binform=True,
     )
 
 
@@ -419,7 +410,7 @@ def strip(t: Term) -> Term:
 
 def complete_binary_witness(g_bin: Rtg, t: Term) -> Term:
     """Equal-semantics member of g_bin shaped as a perfect binary tree."""
-    if g_bin.binform is None:
+    if not g_bin.binform:
         raise GrammarError("witness construction needs a padded binary grammar")
     if not member(g_bin, t):
         raise GrammarError("term is not in the grammar's language")
@@ -490,22 +481,7 @@ def parse_grammar(text: str) -> Rtg:
     if vars_decl is None or start is None:
         raise GrammarError("grammar needs (vars ...) and (start ...)")
     rules = tuple((nt, tuple(prods[nt])) for nt in rule_order)
-    tag = None
-    if NULL_NT in prods:
-        tag = BinformTag(_infer_widened(rules))
-    return Rtg(VarUniverse(tuple(vars_decl)), start, rules, tag)
-
-
-def _infer_widened(rules: tuple[tuple[str, tuple[Production, ...]], ...]):
-    widened: list[tuple[str, int]] = []
-    for nt, prods in rules:
-        if nt == NULL_NT:
-            continue
-        for p in prods:
-            want = op_info(p.op).arity
-            if want < 2 and len(p.operands) == 2 and (p.op, want) not in widened:
-                widened.append((p.op, want))
-    return tuple(widened)
+    return Rtg(VarUniverse(tuple(vars_decl)), start, rules, NULL_NT in prods)
 
 
 def serialize_grammar(g: Rtg) -> str:
