@@ -91,6 +91,10 @@ def encode_seq(cs: list[int] | tuple[int, ...]) -> BetaPair:
 def decode_seq(p: BetaPair) -> list[int]:
     if p.length < 1:
         raise CodecError("sequence length must be at least 1")
+    if p.length >= _FACTORIAL_CAP:  # encode_seq refuses these lengths
+        raise CodecError(
+            f"sequence length {p.length} has no encoding: encoded sequences "
+            f"have fewer than {_FACTORIAL_CAP} entries")
     return [beta(p.a, p.b, i) for i in range(p.length)]
 
 

@@ -152,6 +152,7 @@ def test_encode_is_deterministic(run):
     ("decode", "--as", "term", "1", "2", "--vars", "x"),  # not 3 numbers
     ("decode", "--as", "seq", "14", "6", "-2"),
     ("decode", "--as", "term", "14", "6", "4", "--vars", "x"),  # not 2^(h+1)-1
+    ("decode", "--as", "seq", "5", "3", "1000000"),      # no encoding has it
 ])
 def test_codec_usage_errors(run, argv):
     code, _, err = run(*argv)

@@ -1,5 +1,7 @@
 """Number codecs: beta sequences, pairing, states, heap-order trees."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +69,18 @@ def test_encode_seq_rejects(bad):
 def test_decode_seq_rejects_empty():
     with pytest.raises(CodecError):
         decode_seq(BetaPair(0, 6, 0))
+
+
+@pytest.mark.parametrize("length", [10**6, 10**9])
+def test_decode_seq_refuses_lengths_no_encoding_has(length):
+    # encode_seq refuses every length from 10**6 on, so decoding one is
+    # refused before any entry is built, also inside a whole-sequence code
+    start = time.perf_counter()
+    with pytest.raises(CodecError, match="has no encoding"):
+        decode_seq(BetaPair(5, 3, length))
+    with pytest.raises(CodecError, match="has no encoding"):
+        nat_to_seq(1 + pair(pair(5, 3), length - 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_factorial_cap():
