@@ -3,7 +3,9 @@
 A synthesis problem pairs a tree grammar with an input domain and a
 predicate over (input state, candidate term, evaluation outcome).  The
 engines here are deliberately small and honest about what they can
-decide:
+decide.  All of them draw candidates from one kind of size-ordered
+stream, judge a candidate on a list of states with one check, and,
+within a search, go through one example step:
 
 * :func:`synthesize_loop_free` exhaustively scans a loop-free grammar in
   size order.  Every evaluation terminates, so every verdict is
@@ -12,7 +14,8 @@ decide:
 * :func:`synthesize_pbe` handles grammars with loops by interleaving
   candidates with doubling fuel budgets (round ``r`` tries the first
   ``2**r`` candidates at fuel ``2**r``), so one diverging candidate
-  never blocks a later solution.
+  never blocks a later solution.  Its draw stops at ``_SCAN_CAP``
+  candidates.
 
 * :func:`cegis` alternates example-based synthesis with whole-domain
   verification, growing the example set by one counterexample per
@@ -30,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .grammar import (
     Levels,
@@ -286,30 +289,55 @@ class CegisState:
 
 
 # ---------------------------------------------------------------------------
-# Verification
+# Candidates and checks
 
 
-def _check_one(f: Term, problem: SynthesisProblem, sigma: State,
-               fuel: int) -> bool | None:
-    """Predicate verdict for one state: True/False, or None for fuel-out."""
-    out = eval_term(f, sigma, fuel)
-    if out is FUEL_EXHAUSTED:
-        return True if problem.mode is Mode.PARTIAL else None
-    return problem.spec.holds(sigma, f, out)
+class _Stream:
+    """One size-ordered enumeration read through a cursor.
+
+    Every engine draws its candidates from one of these.  Iterating
+    hands out the terms after the last one handed out, so a scan that
+    stops at a hit, or a draw of ``k`` terms, leaves the next read to
+    resume behind it.  The stream ends for good when the language
+    (within the budget) runs out, or once ``cap`` terms, counted from
+    its start, have been handed out; then ``capped`` is set and the
+    generator, with its memo, is dropped.
+    """
+
+    def __init__(self, grammar: Rtg, size_budget: int,
+                 cap: int | None = None):
+        self._terms: Iterator[Term] | None = enumerate_terms(
+            grammar, size_budget)
+        self._left = cap
+        self.capped = False
+
+    def __iter__(self) -> Iterator[Term]:
+        while self._terms is not None:
+            f = next(self._terms, None)
+            if f is None or self._left == 0:
+                self.capped = f is not None
+                self._terms = None
+                return
+            if self._left is not None:
+                self._left -= 1
+            yield f
 
 
-def _check_all(f: Term, problem: SynthesisProblem, states: Sequence[State],
-               fuel: int, stats: SearchStats) -> bool | None:
-    """Verdict for every state: False at the first refutation, None when
-    some run ran out of fuel and none refuted, True otherwise."""
+def _check(f: Term, problem: SynthesisProblem, states: Iterable[State],
+           fuel: int, stats: SearchStats) -> State | bool | None:
+    """Run ``f`` on each state in turn and return the first state that
+    refutes it.  If none does: None when some run ran out of fuel under
+    ``Mode.TOTAL``, True otherwise.  Under ``Mode.PARTIAL`` a run that
+    runs out of fuel satisfies the predicate vacuously at this fuel."""
     ok: bool | None = True
     for sigma in states:
         stats.evaluations += 1
-        verdict = _check_one(f, problem, sigma, fuel)
-        if verdict is None:
-            ok = None
-        elif not verdict:
-            return False
+        out = eval_term(f, sigma, fuel)
+        if out is FUEL_EXHAUSTED:
+            if problem.mode is Mode.TOTAL:
+                ok = None
+        elif not problem.spec.holds(sigma, f, out):
+            return sigma
     return ok
 
 
@@ -324,14 +352,10 @@ def verify(f: Term, problem: SynthesisProblem, fuel: int) -> VerifyResult:
     """
     if not member(problem.grammar, f):
         raise SynthesisError("candidate is not generated by the grammar")
-    saw_unknown = False
-    for sigma in problem.domain.states():
-        verdict = _check_one(f, problem, sigma, fuel)
-        if verdict is None:
-            saw_unknown = True
-        elif not verdict:
-            return CounterexampleFound(sigma)
-    return Unknown() if saw_unknown else Verified()
+    verdict = _check(f, problem, problem.domain.states(), fuel, SearchStats())
+    if verdict is True:
+        return Verified()
+    return Unknown() if verdict is None else CounterexampleFound(verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +394,7 @@ def synthesize_loop_free(problem: SynthesisProblem,
         raise SynthesisError(
             "grammar contains `while`; use synthesize_pbe, which interleaves "
             "fuel budgets")
-    return _scan(problem, tuple(problem.domain.states()),
-                 _Stream(problem.grammar, size_budget), size_budget,
-                 SearchStats())
+    return synthesize(problem, size_budget)
 
 
 def synthesize(problem: SynthesisProblem, size_budget: int,
@@ -381,45 +403,17 @@ def synthesize(problem: SynthesisProblem, size_budget: int,
 
     A grammar without ``while`` gets :func:`synthesize_loop_free` on any
     domain; a grammar with loops gets :func:`synthesize_pbe`, which needs
-    a finite domain.
+    a finite domain.  Either way it runs a CEGIS round's example step on
+    every domain state, with an uncapped stream for the loop-free scan.
     """
-    if not _grammar_has_op(problem.grammar, "while"):
-        return synthesize_loop_free(problem, size_budget)
-    if not isinstance(problem.domain, Finite):
+    if (not isinstance(problem.domain, Finite)
+            and _grammar_has_op(problem.grammar, "while")):
         raise SynthesisError(
             "grammars with loops need a finite domain for synth; "
             "use cegis for boxed domains")
-    return synthesize_pbe(problem, size_budget, fuel_cap=fuel_cap)
-
-
-class _Stream:
-    """One size-ordered enumeration read through a cursor.
-
-    Iterating hands out the terms after the last one handed out, so a
-    scan that stops at a hit leaves the next scan to resume behind it.
-    The stream ends for good when the language (within the budget) runs
-    out, or once ``cap`` terms, counted from its start, have been handed
-    out; then ``capped`` is set and the generator, with its memo, is
-    dropped.
-    """
-
-    def __init__(self, grammar: Rtg, size_budget: int,
-                 cap: int | None = None):
-        self._terms: Iterator[Term] | None = enumerate_terms(
-            grammar, size_budget)
-        self._left = cap
-        self.capped = False
-
-    def __iter__(self) -> Iterator[Term]:
-        while self._terms is not None:
-            f = next(self._terms, None)
-            if f is None or self._left == 0:
-                self.capped = f is not None
-                self._terms = None
-                return
-            if self._left is not None:
-                self._left -= 1
-            yield f
+    return _example_step(problem, tuple(problem.domain.states()),
+                         _Stream(problem.grammar, size_budget), size_budget,
+                         fuel_cap, "auto")
 
 
 def _scan(problem: SynthesisProblem, states: tuple[State, ...],
@@ -438,9 +432,9 @@ def _scan(problem: SynthesisProblem, states: tuple[State, ...],
         fuel = term_size(f) + 1
         if states:  # only fuel some run was given counts
             stats.fuel_limit = max(stats.fuel_limit, fuel)
-        verdict = _check_all(f, problem, states, fuel, stats)
+        verdict = _check(f, problem, states, fuel, stats)
         assert verdict is not None, "loop-free evaluation ran out of fuel"
-        if verdict:
+        if verdict is True:
             return Realized(f, stats)
     if stream.capped:
         return None
@@ -465,30 +459,37 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
     refuted at some fuel stay refuted (more fuel never changes a
     definite outcome) and are dropped; the live ones are checked again
     in later rounds, before the newly drawn ones.
+
+    The draw stops at the first ``_SCAN_CAP`` candidates.  Once every
+    one of them is refuted the answer is ``BudgetExhausted``, never
+    ``Unrealizable``: the capped draw has not exhausted the language.
     """
     if not isinstance(problem.domain, Finite):
         raise SynthesisError("example-based search needs a Finite domain")
     stats = SearchStats()
     examples = problem.domain.examples
-    gen = enumerate_terms(problem.grammar, size_budget)
+    stream = _Stream(problem.grammar, size_budget, cap=_SCAN_CAP)
     live: list[Term] = []
-    r = 0
-    while True:
+    for r in itertools.count():
         fuel = 2 ** r
         stats.rounds = r + 1
         stats.fuel_limit = max(stats.fuel_limit, min(fuel, fuel_cap))
-        drawn = list(itertools.islice(gen, fuel - stats.candidates))
+        drawn = list(itertools.islice(stream, fuel - stats.candidates))
         stats.candidates += len(drawn)
-        done = stats.candidates < fuel  # the enumeration ran out
+        done = stats.candidates < fuel  # the stream ran out
         kept = []
         for f in live + drawn:
-            ok = _check_all(f, problem, examples, min(fuel, fuel_cap), stats)
+            ok = _check(f, problem, examples, min(fuel, fuel_cap), stats)
             if ok is True:
                 return Realized(f, stats)
             if ok is None:
                 kept.append(f)
         live = kept
         if done and not live:
+            if stream.capped:
+                return BudgetExhausted(
+                    f"none of the first {_SCAN_CAP} candidates satisfies "
+                    "the predicate", stats)
             return _exhausted_verdict(
                 problem, size_budget, stats,
                 "all were checked and none satisfies the predicate")
@@ -496,7 +497,6 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
             return BudgetExhausted(
                 f"candidates remain inconclusive at the fuel cap {fuel_cap}",
                 stats)
-        r += 1
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +602,7 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
     if not member(g, candidate):
         return None
     fuel = term_size(candidate) + 1
-    if not _check_all(candidate, problem, examples, fuel, stats):
+    if _check(candidate, problem, examples, fuel, stats) is not True:
         return None
     stats.fuel_limit = max(stats.fuel_limit, fuel)
     return Realized(candidate, stats)
@@ -612,31 +612,30 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
 # CEGIS
 
 
-def _pbe_step(problem: SynthesisProblem, examples: tuple[State, ...],
-              stream: _Stream, size_budget: int, fuel: int,
-              engine: str) -> SynthesisResult:
-    """Synthesize against the current example set.
+def _example_step(problem: SynthesisProblem, examples: tuple[State, ...],
+                  stream: _Stream, size_budget: int, fuel: int,
+                  engine: str) -> SynthesisResult:
+    """Synthesize against ``examples``, drawing candidates from ``stream``.
 
-    Both scans read the run's shared ``stream``: every term it handed out
-    earlier is refuted by the examples, which only grow.
+    :func:`synthesize` passes every domain state and a stream of its
+    own.  Each CEGIS round passes the examples so far and the run's
+    shared stream: every term it handed out earlier is refuted by the
+    examples, which only grow.  With no examples the scan takes the
+    stream's next term, and the dovetail engine is not used.
     """
+    if examples and (engine == "dovetail"
+                     or _grammar_has_op(problem.grammar, "while")):
+        return synthesize_pbe(replace(problem, domain=Finite(examples)),
+                              size_budget, fuel_cap=fuel)
     stats = SearchStats()
-    if not examples:
-        # Zero examples: any term of the language is vacuously correct.
-        return _scan(problem, (), stream, size_budget, stats)
-    sub = SynthesisProblem(problem.grammar, Finite(examples), problem.spec,
-                           problem.mode)
-    if engine == "dovetail" or _grammar_has_op(problem.grammar, "while"):
-        return synthesize_pbe(sub, size_budget, fuel_cap=fuel)
-    result = _scan(sub, examples, stream, size_budget, stats)
-    if result is not None:
-        return result
-    fallback = _decision_list_pbe(sub, size_budget, stats)
-    if fallback is not None:
-        return fallback
-    return BudgetExhausted(
-        f"scanned the first {_SCAN_CAP} candidates and the guarded-block "
-        "fallback found nothing within the size budget", stats)
+    result = _scan(problem, examples, stream, size_budget, stats)
+    if result is None:  # the stream reached its cap
+        result = _decision_list_pbe(
+            replace(problem, domain=Finite(examples)), size_budget, stats
+        ) or BudgetExhausted(
+            f"scanned the first {_SCAN_CAP} candidates and the guarded-block "
+            "fallback found nothing within the size budget", stats)
+    return result
 
 
 def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
@@ -685,8 +684,8 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
 
     for round_no in range(round_budget):
         stats.rounds = round_no + 1
-        step = _pbe_step(problem, tuple(examples), stream, size_budget, fuel,
-                         engine)
+        step = _example_step(problem, tuple(examples), stream, size_budget,
+                             fuel, engine)
         stats.candidates += step.stats.candidates
         stats.evaluations += step.stats.evaluations
         stats.fuel_limit = max(stats.fuel_limit, step.stats.fuel_limit)

@@ -1,6 +1,8 @@
 """Command-line behavior: output shapes, exit codes, flag placement."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from impsynth.cli import main
 
 from .conftest import FIXTURES
+
+SRC = FIXTURES.parent / "src"
 
 
 @pytest.fixture
@@ -418,6 +422,34 @@ def test_cegis_budget_exhausted(run):
                        "--quiet")
     assert code == 3
     assert out.startswith("budget-exhausted:")
+
+
+def test_cegis_dovetail_draw_is_capped():
+    # every candidate of the loop-free grammar terminates, so only the
+    # 20,000-candidate cap on each dovetail draw bounds this run; the
+    # address-space limit turns unbounded growth into a MemoryError
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 700 * 2 ** 20
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "impsynth", "cegis",
+         "--problem", str(FIXTURES / "copy_small.prob"), "--rounds", "3",
+         "--size-budget", "40", "--engine", "dovetail", "--seed", "x=0,y=0"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory,
+        timeout=120)
+    assert "internal error" not in proc.stderr
+    assert proc.returncode == 3
+    assert proc.stdout.splitlines()[2:] == [
+        "budget-exhausted: round 3 example step: none of the first 20000 "
+        "candidates satisfies the predicate",
+        "stats: candidates=20036 evaluations=21156 rounds=3 fuel-limit=1024"]
 
 
 def test_cegis_seed_outside_universe(run, box_problem):

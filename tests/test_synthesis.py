@@ -168,6 +168,29 @@ def test_pbe_dovetails_past_divergent_candidates():
     assert result.term == parse_prefix("(:= x (+ (+ 1 1) x))")
 
 
+def test_pbe_capped_draw_is_never_a_proof(monkeypatch):
+    # 110 terms within the budget and none a solution: the whole language
+    # proves the problem unrealizable, its first 50 terms do not
+    grammar = parse_grammar("""
+        (grammar (vars x y) (start S)
+          (rule S (:= V E)) (rule S (seq A A)) (rule A (:= V E))
+          (rule V x) (rule V y)
+          (rule E 0) (rule E 1) (rule E y) (rule E (+ V O)) (rule O 1))
+    """)
+    problem = SynthesisProblem(
+        grammar, Finite((State(grammar.universe, (0, 0)),)),
+        parse_predicate("(= (out x) 7)"))
+    assert isinstance(synthesize_pbe(problem, 11), Unrealizable)
+    monkeypatch.setattr(synthesis, "_SCAN_CAP", 50)
+    result = synthesize_pbe(problem, 11)
+    assert isinstance(result, BudgetExhausted)
+    assert result.reason == (
+        "none of the first 50 candidates satisfies the predicate")
+    assert result.stats.candidates == 50
+    # synth's loop-free scan stays exhaustive
+    assert isinstance(synthesize(problem, 11), Unrealizable)
+
+
 # ---------------------------------------------------------------------------
 # Loop-free search
 
