@@ -13,11 +13,8 @@ outright.  A term refuses a Null-sorted child in a real operand slot, so
 in a well-sorted term over a real input state the dummy value surfaces
 only when the root itself is a padding node, and no rule below ever
 meets a dummy operand.  The dummy input state is handled once, where a
-run starts: `eval_term` gives the dummy value, `loop_trace` a
-"dummy guard" fault, and the certificate builder an all-dummy evidence
-tree.  The rule that a dummy operand gives a dummy result is written in
-one place, `value_tree.check_node`, which checks the evidence of
-skipped subtrees.  Division by zero raises a fault, which is distinct
+run starts: `eval_term` gives the dummy value and `loop_trace` a
+"dummy guard" fault.  Division by zero raises a fault, which is distinct
 from the dummy value.
 
 The interpreter is one recursive walker.  `_run` charges a node and
@@ -25,23 +22,17 @@ hands it to the rule of its operator in `RULES`, one rule per operator,
 built from `LITERALS` and `VALUE_OPS`; a name missing from the table is
 a variable, read from the state by its position.  A chain of `seq` nodes
 nested to the right runs in one frame, so a long statement list does
-not deepen the recursion.  `eval_term`, `loop_trace` and the
-certificate builder (`value_tree.build_value_tree`) all run on it.
-
-An optional tracer receives one callback per node activation, in
-chronological order; the certificate builder uses this to reconstruct
-full per-node evidence without disturbing fuel accounting.  Subtrees
-that an activation skips (padding slots, the body of an `if` whose
-guard is false) are reported to the tracer as dummy activations at zero
-fuel cost.  All of this tracer work happens only when a tracer is
-given: an untraced run does none of it.
+not deepen the recursion.  `eval_term` and `loop_trace` run on it, and
+so does the certificate builder (`value_tree.build_value_tree`), which
+evaluates each node on its own activation inputs; every convention of
+the certificate's evidence lives there, next to its checks.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Protocol, Union
+from typing import Callable, Union
 
 from .terms import EMPTY, EmptyState, Sort, State, Term, op_info
 
@@ -111,37 +102,6 @@ class Budget:
         self.remaining -= 1
 
 
-class Tracer(Protocol):
-    def on_value(self, path: int, value: Union[int, bool, EmptyState]) -> None: ...
-
-    def on_run(self, path: int, run: tuple) -> None: ...
-
-
-def _child(path: int, i: int) -> int:
-    # heap addressing: children of node p sit at 2p+1 and 2p+2 (the rules
-    # below write these out on their hot paths)
-    return 2 * path + i + 1
-
-
-def _skip(t: Term, path: int, tracer: Tracer) -> None:
-    """Record a dummy activation for a whole unexecuted subtree.
-
-    Statement nodes get the run (EMPTY, EMPTY) except `while`, which
-    gets the zero-iteration run (EMPTY,) so that its guard/body entry
-    arithmetic matches a real zero-iteration activation.
-    """
-    if t.sort is Sort.STMT:
-        if t.op == "while":
-            tracer.on_run(path, (EMPTY,))
-            _skip(t.children[0], _child(path, 0), tracer)
-            return
-        tracer.on_run(path, (EMPTY, EMPTY))
-    else:
-        tracer.on_value(path, EMPTY)
-    for i, c in enumerate(t.children):
-        _skip(c, _child(path, i), tracer)
-
-
 def _div(a: int, b: int) -> int:
     """Quotient truncated toward zero; a zero divisor faults."""
     if b == 0:
@@ -177,140 +137,79 @@ def apply_op(op: str, *args):
 # --------------------------------------------------------------------------
 # The walker: one rule per operator.  A rule runs after its node has been
 # charged, evaluates the children it needs through `_run` and returns the
-# node's unwrapped result.  Every call to the tracer sits behind a
-# `tracer is not None` test.
+# node's unwrapped result.
 
 
-def _run(
-    t: Term,
-    sigma: State,
-    budget: Budget,
-    tracer: Tracer | None = None,
-    path: int = 0,
-) -> _Internal:
+def _run(t: Term, sigma: State, budget: Budget) -> _Internal:
     budget.charge()
-    return RULES.get(t.op, _variable)(t, sigma, budget, tracer, path)
+    return RULES.get(t.op, _variable)(t, sigma, budget)
 
 
-def _skip_from(t: Term, first: int, path: int, tracer: Tracer) -> None:
-    """Report the operand slots of t from `first` on as skipped."""
-    kids = t.children
-    for i in range(first, len(kids)):
-        _skip(kids[i], _child(path, i), tracer)
+def _literal(t, sigma, budget):
+    return LITERALS[t.op]
 
 
-def _literal(t, sigma, budget, tracer, path):
-    v = LITERALS[t.op]
-    if tracer is not None:
-        _skip_from(t, 0, path, tracer)
-        tracer.on_value(path, v)
-    return v
+def _variable(t, sigma, budget):
+    return sigma.values[sigma.universe.index(t.op)]
 
 
-def _variable(t, sigma, budget, tracer, path):
-    v = sigma.values[sigma.universe.index(t.op)]
-    if tracer is not None:
-        _skip_from(t, 0, path, tracer)
-        tracer.on_value(path, v)
-    return v
-
-
-def _padding(t, sigma, budget, tracer, path):
-    if tracer is not None:
-        _skip_from(t, 0, path, tracer)
-        tracer.on_value(path, EMPTY)
+def _padding(t, sigma, budget):
     return EMPTY
 
 
 def _unary(fn):
     # a widened unary operator ignores its padding slot
-    def rule(t, sigma, budget, tracer, path):
-        a = _run(t.children[0], sigma, budget, tracer, 2 * path + 1)
-        if tracer is not None:
-            _skip_from(t, 1, path, tracer)
-        v = fn(a)
-        if tracer is not None:
-            tracer.on_value(path, v)
-        return v
+    def rule(t, sigma, budget):
+        return fn(_run(t.children[0], sigma, budget))
 
     return rule
 
 
 def _binary(fn):
     # strict in both operands, evaluated left to right
-    def rule(t, sigma, budget, tracer, path):
+    def rule(t, sigma, budget):
         left, right = t.children
-        a = _run(left, sigma, budget, tracer, 2 * path + 1)
-        b = _run(right, sigma, budget, tracer, 2 * path + 2)
-        v = fn(a, b)
-        if tracer is not None:
-            tracer.on_value(path, v)
-        return v
+        a = _run(left, sigma, budget)
+        return fn(a, _run(right, sigma, budget))
 
     return rule
 
 
-def _assign(t, sigma, budget, tracer, path):
+def _assign(t, sigma, budget):
     target, rhs = t.children
-    _run(target, sigma, budget, tracer, 2 * path + 1)
-    v = _run(rhs, sigma, budget, tracer, 2 * path + 2)
-    out = sigma.set(target.op, v)
-    if tracer is not None:
-        tracer.on_run(path, (sigma, out))
-    return out
+    _run(target, sigma, budget)
+    return sigma.set(target.op, _run(rhs, sigma, budget))
 
 
-def _seq(t, sigma, budget, tracer, path):
+def _seq(t, sigma, budget):
     # A chain of `seq` nodes nested to the right (how `;` parses) runs in
     # this one frame: each further link is charged here on entry, so a
     # long statement list does not deepen the recursion.
-    links = []  # (path, input state) of each link, for the tracer
     while True:
         first, rest = t.children
-        if tracer is not None:
-            links.append((path, sigma))
-        sigma = _run(first, sigma, budget, tracer, 2 * path + 1)
-        path = 2 * path + 2
+        sigma = _run(first, sigma, budget)
         if rest.op != "seq":
-            break
+            return _run(rest, sigma, budget)
         budget.charge()
         t = rest
-    out = _run(rest, sigma, budget, tracer, path)
-    if tracer is not None:
-        for link, before in reversed(links):
-            tracer.on_run(link, (before, out))
-    return out
 
 
-def _if(t, sigma, budget, tracer, path):
+def _if(t, sigma, budget):
     guard, body = t.children
-    if _run(guard, sigma, budget, tracer, 2 * path + 1):
-        out = _run(body, sigma, budget, tracer, 2 * path + 2)
-    else:
-        if tracer is not None:
-            _skip(body, 2 * path + 2, tracer)
-        out = sigma
-    if tracer is not None:
-        tracer.on_run(path, (sigma, out))
-    return out
+    if _run(guard, sigma, budget):
+        return _run(body, sigma, budget)
+    return sigma
 
 
-def _while(t, sigma, budget, tracer, path):
+def _while(t, sigma, budget):
     guard, body = t.children
-    guard_path, body_path = 2 * path + 1, 2 * path + 2
-    states = [sigma]
-    cur = sigma
-    while _run(guard, cur, budget, tracer, guard_path):
-        cur = _run(body, cur, budget, tracer, body_path)
+    while _run(guard, sigma, budget):
+        sigma = _run(body, sigma, budget)
         budget.charge()  # completed iteration
-        if tracer is not None:
-            states.append(cur)
-    if tracer is not None:
-        tracer.on_run(path, tuple(states))
-    return cur
+    return sigma
 
 
-Rule = Callable[[Term, State, Budget, Union[Tracer, None], int], _Internal]
+Rule = Callable[[Term, State, Budget], _Internal]
 
 # Names missing from the table are variables.
 RULES: dict[str, Rule] = {

@@ -12,15 +12,22 @@ payloads are sequences of such entries, outer order chronological.
 The point of the representation is locality: a node's evidence can be
 checked against its operator and its direct children's evidence alone,
 plus the input state at the leaves.  `validate` runs exactly these
-local checks and accepts if and only if the tree is the one produced by
-instrumented evaluation, so the tree doubles as a checkable certificate
-that running the program on the recorded input yields the recorded
-output.
+local checks and accepts if and only if the tree is the one
+`build_value_tree` produces, so the tree doubles as a checkable
+certificate that running the program on the recorded input yields the
+recorded output.  The builder evaluates the program once, then walks it
+top-down and evaluates each node on the input state of each of its
+activations; the parent's activations give the children's inputs.
 
-Alignment conventions, fixed here and relied on by the checks:
+Alignment conventions, fixed here and relied on by the builder and the
+checks:
 
 * A statement's run always has length 2 except at loops, where the run
   is the trace t0..tk (k iterations, possibly k = 0).
+* The operands of a value node or an assignment, and the guard of an
+  `if`, are activated once per activation of their parent, on its
+  input.  The second statement of a sequence starts where the first
+  ends.
 * Children of a loop: for each loop activation with trace length k+1,
   the guard contributes k+1 consecutive entries (true at t0..t(k-1),
   false at tk) and the body contributes k consecutive runs, the i-th
@@ -29,7 +36,8 @@ Alignment conventions, fixed here and relied on by the checks:
   payload.
 * A skipped subtree (padding slot, or the body of an `if` whose guard
   came out false) records dummy evidence: value nodes one dummy entry,
-  non-loop statements the run (dummy, dummy), loops the run (dummy,).
+  non-loop statements the run (dummy, dummy), loops the run (dummy,),
+  whose guard records one dummy entry and whose body none.
 * The target variable of an assignment records its value in the input
   state of each activation, i.e. the value it held before the write.
 """
@@ -56,16 +64,14 @@ from .codec import (
     unpair,
 )
 from .semantics import (
-    FUEL_EXHAUSTED,
     LITERALS,
     Budget,
     Fault,
     FuelExhausted,
-    _FaultSignal,
-    _OutOfFuel,
     _run,
-    _skip,
     apply_op,
+    eval_term,
+    loop_trace,
 )
 from .terms import (
     EMPTY,
@@ -179,50 +185,60 @@ def _vnodes(shape, payload, i: int = 0) -> VNode:
 
 
 # --------------------------------------------------------------------------
-# Building by instrumented evaluation
-
-
-class _Collector:
-    __slots__ = ("values", "runs")
-
-    def __init__(self) -> None:
-        self.values: dict[int, list] = {}
-        self.runs: dict[int, list] = {}
-
-    def on_value(self, path: int, value: ValueEntry) -> None:
-        self.values.setdefault(path, []).append(value)
-
-    def on_run(self, path: int, run: tuple) -> None:
-        self.runs.setdefault(path, []).append(run)
+# Building: each node evaluated on its own activation inputs
 
 
 def build_value_tree(
     f: Term, sigma: Union[State, EmptyState], fuel: int
 ) -> Union[ValueTree, Fault, FuelExhausted]:
-    """The unique validating evidence tree, via instrumented evaluation.
+    """The unique validating evidence tree of f run on sigma.
 
-    Fuel accounting matches eval exactly, so this returns FuelExhausted
-    precisely when eval does; faults are likewise passed through.  On
-    the dummy input state every node holds the dummy evidence.
+    f is evaluated once first, so this returns FuelExhausted or a Fault
+    exactly when `eval_term` does.  Otherwise every activation of every
+    node ran within the fuel, so each node can be evaluated again on each
+    of its own inputs.  On the dummy input state every node holds the
+    dummy evidence.
     """
-    collector = _Collector()
-    budget = Budget(fuel)  # checks the fuel, also on the dummy input
-    try:
-        if sigma is EMPTY:
-            _skip(f, 0, collector)
-        else:
-            _run(f, sigma, budget, collector, 0)
-    except _OutOfFuel:
-        return FUEL_EXHAUSTED
-    except _FaultSignal as fault:
-        return Fault(fault.reason)
+    outcome = eval_term(f, sigma, fuel)
+    if isinstance(outcome, (Fault, FuelExhausted)):
+        return outcome
+    root, _ = _evidence(f, [sigma], fuel)
+    return ValueTree(sigma, root)
 
-    def payload(node: Term, path: int) -> NodePayload:
-        if node.sort is Sort.STMT:
-            return StatePayload(tuple(collector.runs.get(path, ())))
-        return ValuePayload(tuple(collector.values.get(path, ())))
 
-    return ValueTree(sigma, _vnodes(f, payload))
+def _evidence(t: Term, inputs: list, fuel: int) -> tuple[VNode, list]:
+    """The evidence subtree of t and t's output on each activation, given
+    the input state of each activation of t in chronological order (EMPTY
+    for a skipped activation)."""
+    kids = t.children
+    if t.op == "seq":
+        # the second statement starts where the first ends, and the
+        # sequence ends where the second does: a chain is walked once
+        first, mids = _evidence(kids[0], inputs, fuel)
+        rest, outs = _evidence(kids[1], mids, fuel)
+        return VNode(StatePayload(tuple(zip(inputs, outs))), (first, rest)), outs
+    if t.op == "while":
+        # the guard is checked at every state of a trace, the body run
+        # from every state but the last; a skipped loop checks its guard
+        # once and never runs its body
+        runs = [(EMPTY,) if s is EMPTY else loop_trace(kids[0], kids[1], s, fuel)
+                for s in inputs]
+        guard, _ = _evidence(kids[0], [s for run in runs for s in run], fuel)
+        body, _ = _evidence(kids[1], [s for run in runs for s in run[:-1]], fuel)
+        return VNode(StatePayload(tuple(runs)), (guard, body)), [r[-1] for r in runs]
+    outs = [EMPTY if s is EMPTY else _run(t, s, Budget(fuel)) for s in inputs]
+    if t.op == "if":
+        guard, values = _evidence(kids[0], inputs, fuel)
+        # the body of an untaken branch is skipped
+        body_inputs = [s if g is True else EMPTY for s, g in zip(inputs, values)]
+        body, _ = _evidence(kids[1], body_inputs, fuel)
+        return VNode(StatePayload(tuple(zip(inputs, outs))), (guard, body)), outs
+    # An assignment or a value node: every child sees the node's inputs.
+    # Padding children hold the dummy value whatever they see.
+    nodes = tuple(_evidence(c, inputs, fuel)[0] for c in kids)
+    if t.sort is Sort.STMT:
+        return VNode(StatePayload(tuple(zip(inputs, outs))), nodes), outs
+    return VNode(ValuePayload(tuple(outs)), nodes), outs
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from impsynth.synthesis import (
 )
 from impsynth.terms import (
     EMPTY,
+    Sort,
     State,
     Term,
     VarUniverse,
@@ -38,7 +39,9 @@ from impsynth.value_tree import (
     ValuePayload,
     ValueTree,
     ValueTreeError,
+    VNode,
     build_value_tree,
+    check_node,
     validate,
     validate_report,
 )
@@ -218,6 +221,116 @@ def test_single_payload_mutations_all_rejected():
     assert rejected == 1000
     print("[PASS] mutations: frozen 4->5 corruption fails at node 1; "
           "1000/1000 random single-payload mutations rejected")
+
+
+# statement programs whose runs take every path of the statement checks:
+# skipped assignments, sequences, branches and loops (under an untaken
+# branch), untaken and taken branches, zero and several iterations
+_STATEMENT_PROGRAMS = [
+    "x := x + 1; y := x",
+    "while x < 3 do ((if x = 1 then (x := x + 1; y := y + 1)); x := x + 1)",
+    "if x = 5 then ((if x = 5 then x := 2); while x < 4 do x := x + 1)",
+    "while x < 0 do x := x + 1",
+    "while y < 2 do ((while x < y do x := x + 1); y := y + 1)",
+]
+_STATEMENT_STATES = [State(UNIVERSE_XY, v) for v in ((0, 0), (1, 0), (5, 1))]
+
+
+def _reshapes(payload):
+    """Every variant of one payload by one edit: an activation dropped or
+    repeated, a run lengthened or shortened, or one entry bumped, made
+    dummy or made real."""
+    if isinstance(payload, ValuePayload):
+        entries = payload.entries
+        variants = [entries[:-1], entries + entries[-1:]] if entries else [(0,)]
+        for i, e in enumerate(entries):
+            for new in ((7,) if e is EMPTY else
+                        (EMPTY, not e) if isinstance(e, bool) else (EMPTY, e + 1)):
+                variants.append(entries[:i] + (new,) + entries[i + 1:])
+        return [ValuePayload(v) for v in variants]
+    runs = payload.runs
+    variants = [runs[:-1], runs + runs[-1:]] if runs else [((EMPTY, EMPTY),)]
+    for i, run in enumerate(runs):
+        edits = [run + run[-1:]] + ([run[:-1]] if len(run) > 1 else [])
+        for j, s in enumerate(run):
+            for new in ((State(UNIVERSE_XY, (7, 7)),) if s is EMPTY else
+                        (EMPTY, State(s.universe, (s.values[0] + 1,) + s.values[1:]))):
+                edits.append(run[:j] + (new,) + run[j + 1:])
+        variants += [runs[:i] + (edit,) + runs[i + 1:] for edit in edits]
+    return [StatePayload(v) for v in variants]
+
+
+def _path(index: int) -> list[int]:
+    """Child positions from the root down to heap index `index`."""
+    steps = []
+    while index:
+        steps.append((index - 1) % 2)
+        index = (index - 1) // 2
+    return steps[::-1]
+
+
+def _subterm(t: Term, index: int) -> Term:
+    for step in _path(index):
+        t = t.children[step]
+    return t
+
+
+def _graft(node, steps, subtree):
+    """Copy of an evidence tree with the subtree at `steps` replaced."""
+    if not steps:
+        return subtree
+    kids = list(node.children)
+    kids[steps[0]] = _graft(kids[steps[0]], steps[1:], subtree)
+    return VNode(node.payload, tuple(kids))
+
+
+def _caught_locally(term, sigma, tree, index) -> bool:
+    """Whether the statement check at `index` or at its parent rejects:
+    the two checks that read a statement node's runs, whose states the
+    runs carry themselves (the root's first state is checked against the
+    input instead of a parent)."""
+    for i in [index] + ([(index - 1) // 2] if index else []):
+        sub, node = _subterm(term, i), tree.node_at(i)
+        left, right = (kid.payload for kid in node.children)
+        if not check_node(sub.op, node.payload, left, right,
+                          target=sub.children[0].op if sub.op == ":=" else None):
+            return True
+    runs = tree.root.payload.runs
+    return index == 0 and not (len(runs) == 1 and runs[0][0] == sigma)
+
+
+def test_statement_payload_mutations_all_rejected():
+    """Every one-edit mutation of every payload is rejected, a statement
+    node's edits by its own check or its parent's already; a statement
+    subtree grafted from a run on another input, consistent within
+    itself, is rejected at its parent."""
+    edits = grafts = 0
+    for text in _STATEMENT_PROGRAMS:
+        term = parse_term(text, UNIVERSE_XY)
+        trees = [build_value_tree(term, sigma, 1000) for sigma in _STATEMENT_STATES]
+        for sigma, tree in zip(_STATEMENT_STATES, trees):
+            assert validate(term, sigma, tree)
+            for index in _heap_indices(term):
+                node = tree.node_at(index)
+                statement = _subterm(term, index).sort is Sort.STMT
+                for changed in _reshapes(node.payload):
+                    assert changed != node.payload
+                    mutated = tree.with_payload(index, changed)
+                    assert not validate(term, sigma, mutated)
+                    assert not statement or _caught_locally(term, sigma, mutated, index)
+                    edits += 1
+                if not statement:
+                    continue
+                for other in trees:
+                    donor = other.node_at(index)
+                    if donor != node:
+                        grafted = ValueTree(sigma, _graft(tree.root, _path(index), donor))
+                        assert validate_report(term, sigma, grafted) == (
+                            False, (index - 1) // 2 if index else 0)
+                        grafts += 1
+    assert (edits, grafts) == (1592, 120)
+    print(f"[PASS] statement mutations: {edits} one-edit mutations and "
+          f"{grafts} grafted subtrees rejected")
 
 
 # ---------------------------------------------------------------------------

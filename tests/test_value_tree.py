@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from impsynth import value_tree
 from impsynth.codec import CodecError
 from impsynth.grammar import embed
 from impsynth.semantics import FUEL_EXHAUSTED, Fault, eval_term
@@ -118,6 +119,30 @@ def test_build_matches_eval_outcome():
             assert tree.root_output() == outcome.state
 
 
+def test_build_statement_chain_costs_linear_work(monkeypatch):
+    # every node evaluation the builder starts charges a value_tree.Budget
+    charges = 0
+
+    class CountingBudget(value_tree.Budget):
+        def charge(self):
+            nonlocal charges
+            charges += 1
+            super().charge()
+
+    monkeypatch.setattr(value_tree, "Budget", CountingBudget)
+
+    def cost(n):
+        nonlocal charges
+        charges = 0
+        chain = parse_term("; ".join(["x := x + 1"] * n), X)
+        built(chain, State(X, (0,)), fuel=10 * n)
+        return charges
+
+    costs = [cost(n) for n in (100, 200, 300)]
+    # each further statement adds the same work, whatever follows it
+    assert costs[2] - costs[1] == costs[1] - costs[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # Tree surgery helpers
 
@@ -211,6 +236,13 @@ def test_check_node_seq_chains_states():
     good = check_node("seq", StatePair(a, c), StatePair(a, b), StatePair(b, c))
     assert good
     assert not check_node("seq", StatePair(a, c), StatePair(a, b), StatePair(a, c))
+
+
+def test_check_node_branch_guard_must_be_boolean():
+    # a built guard is always Boolean (its own check sees to that); the
+    # branch check refuses any other guard entry on its own as well
+    assert check_node("if", StatePair(X3, X3), Val(False), StatePair(EMPTY, EMPTY))
+    assert not check_node("if", StatePair(X3, X3), Val(0), StatePair(EMPTY, EMPTY))
 
 
 def test_check_node_while_alignment():
