@@ -73,6 +73,7 @@ from .terms import (
     TermError,
     VarUniverse,
     is_variable_name,
+    parse_state,
     parse_term,
     print_term,
     term_height,
@@ -113,32 +114,6 @@ def _read_file(path: str) -> str:
     except OSError as err:
         print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
         raise SystemExit(EX_NOINPUT) from err
-
-
-def _parse_state(text: str) -> State:
-    """Parse "x=3,y=0"; the universe is the listed names, in order."""
-    names: list[str] = []
-    values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise _UsageError(f"expected NAME=VALUE, got {part!r}")
-        name, _, raw = part.partition("=")
-        name, raw = name.strip(), raw.strip()
-        if not is_variable_name(name):
-            raise _UsageError(f"bad variable name {name!r}")
-        if name in names:
-            raise _UsageError(f"variable {name!r} listed twice")
-        try:
-            values.append(int(raw, 10))
-        except ValueError:
-            raise _UsageError(f"bad integer {raw!r} for {name!r}") from None
-        names.append(name)
-    if not names:
-        raise _UsageError("state must bind at least one variable")
-    return State(VarUniverse(tuple(names)), tuple(values))
 
 
 def _parse_vars(text: str) -> VarUniverse:
@@ -238,7 +213,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    sigma = _parse_state(args.state)
+    sigma = parse_state(args.state)
     term, _ = _load_program(args, sigma.universe)
     outcome = eval_term(term, sigma, args.fuel)
     line = format_outcome(outcome)
@@ -278,7 +253,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.as_what == "state":
         if not args.state:
             raise _UsageError("encode --as state needs --state")
-        code = encode_state(_parse_state(args.state))
+        code = encode_state(parse_state(args.state))
         _emit(args, {"as": "state", "code": str(code)},
               [_format_int(code, args)])
         return 0
@@ -334,7 +309,7 @@ def _cmd_binform(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    sigma = _parse_state(args.state)
+    sigma = parse_state(args.state)
     term, _ = _load_program(args, sigma.universe)
     built = build_value_tree(term, sigma, args.fuel)
     if not isinstance(built, ValueTree):
@@ -356,7 +331,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_cert(args: argparse.Namespace) -> int:
-    sigma = _parse_state(args.state)
+    sigma = parse_state(args.state)
     term, _ = _load_program(args, sigma.universe)
     raw = _read_file(args.cert).split()
     a, b, length = _parse_numbers(raw, 3, "certificate file")
@@ -417,7 +392,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_cegis(args: argparse.Namespace) -> int:
     problem = _load_problem_checked(args.problem)
-    seeds = [_lift_state(_parse_state(raw), problem.universe)
+    seeds = [_lift_state(parse_state(raw), problem.universe)
              for raw in (args.seed_states or [])]
     result, state = cegis(problem, seeds, args.rounds, args.size_budget,
                           args.fuel, engine=args.engine)

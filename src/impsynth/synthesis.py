@@ -708,8 +708,13 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
                 f"round {round_no + 1}: verification inconclusive at fuel "
                 f"{fuel}", stats), state()
         cex = verdict.state
-        assert cex not in examples, "counterexample repeats a known example"
         history.append((candidate, cex))
+        if cex in examples:
+            # under partial correctness the example step may accept a
+            # candidate whose example runs all ran out of fuel
+            return BudgetExhausted(
+                f"round {round_no + 1}: counterexample {cex} repeats a "
+                f"known example", stats), state()
         examples.append(cex)
     return BudgetExhausted(
         f"no convergence within {round_budget} rounds", stats), state()

@@ -315,28 +315,38 @@ class State:
         return ",".join(f"{n}={v}" for n, v in zip(self.universe, self.values))
 
 
-def parse_state(text: str, universe: VarUniverse) -> State | EmptyState:
-    """Parse "x=3,y=0" against the universe; "empty" gives EMPTY.
+def parse_state(text: str, universe: VarUniverse | None = None) -> State | EmptyState:
+    """Parse "x=3,y=0".
 
-    Every universe variable must be assigned exactly once.
+    Against a universe, every universe variable must be assigned and
+    "empty" gives EMPTY.  Without one, the universe is the listed names,
+    in order, and at least one must be listed.
     """
-    stripped = text.strip()
-    if stripped == "empty":
+    if universe is not None and text.strip() == "empty":
         return EMPTY
     seen: dict[str, int] = {}
-    for part in stripped.split(","):
-        name, eq, value = part.partition("=")
-        name = name.strip()
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        name, eq, raw = part.partition("=")
+        name, raw = name.strip(), raw.strip()
         if not eq:
-            raise TermError(f"malformed state entry {part!r}, expected name=value")
-        if name not in universe:
+            raise TermError(f"expected NAME=VALUE, got {part!r}")
+        if universe is None and not is_variable_name(name):
+            raise TermError(f"bad variable name {name!r}")
+        if universe is not None and name not in universe:
             raise TermError(f"variable {name!r} not in universe")
         if name in seen:
-            raise TermError(f"variable {name!r} assigned twice")
+            raise TermError(f"variable {name!r} listed twice")
         try:
-            seen[name] = int(value.strip())
+            seen[name] = int(raw, 10)
         except ValueError:
-            raise TermError(f"bad integer {value.strip()!r} for {name!r}") from None
+            raise TermError(f"bad integer {raw!r} for {name!r}") from None
+    if universe is None:
+        if not seen:
+            raise TermError("state must bind at least one variable")
+        universe = VarUniverse(tuple(seen))
     missing = [n for n in universe if n not in seen]
     if missing:
         raise TermError(f"state is missing variables {missing}")

@@ -424,6 +424,19 @@ def test_cegis_budget_exhausted(run):
     assert out.startswith("budget-exhausted:")
 
 
+def test_cegis_repeated_counterexample_is_a_budget_stop(run, tmp_path):
+    (tmp_path / "loop.rtg").write_text((FIXTURES / "looping.rtg").read_text())
+    prob = tmp_path / "partial.prob"
+    prob.write_text(
+        "(problem (grammar-file loop.rtg) (mode partial)"
+        " (domain (finite (state x 3) (state x 4))) (spec (> (out x) x)))")
+    code, out, err = run("cegis", "--problem", str(prob), "--rounds", "3",
+                         "--size-budget", "7", "--fuel", "64")
+    assert code == 3
+    assert "internal error" not in err
+    assert out.splitlines()[2] == (
+        "budget-exhausted: round 2: counterexample x=3 repeats a known example")
+
 def test_cegis_dovetail_draw_is_capped():
     # every candidate of the loop-free grammar terminates, so only the
     # 20,000-candidate cap on each dovetail draw bounds this run; the

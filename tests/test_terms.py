@@ -362,3 +362,20 @@ def test_parse_state_errors():
         parse_state("x=1,z=2", XY)
     with pytest.raises(TermError):
         parse_state("x=one,y=0", XY)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "expected NAME=VALUE, got 'x'"),
+    ("empty", "expected NAME=VALUE, got 'empty'"),
+    ("while=1", "bad variable name 'while'"),
+    ("x=1,x=2", "variable 'x' listed twice"),
+    ("x=one", "bad integer 'one' for 'x'"),
+    (" , ", "state must bind at least one variable"),
+])
+def test_parse_state_without_a_universe(text, message):
+    # the universe is the listed names, in order
+    sigma = parse_state(" y = 2 ,, x=-1 ")
+    assert sigma == State(VarUniverse.of("y", "x"), (2, -1))
+    with pytest.raises(TermError) as err:
+        parse_state(text)
+    assert str(err.value) == message
