@@ -14,8 +14,10 @@ in a well-sorted term over a real input state the dummy value surfaces
 only when the root itself is a padding node, and no rule below ever
 meets a dummy operand.  The dummy input state is handled once, where a
 run starts: `eval_term` gives the dummy value and `loop_trace` a
-"dummy guard" fault.  Division by zero raises a fault, which is distinct
-from the dummy value.
+"dummy guard" fault.  The rule that a dummy operand gives a dummy result
+is written in one place, `value_tree.check_node`, which checks the
+evidence of skipped subtrees.  Division by zero raises a fault, which is
+distinct from the dummy value.
 
 The interpreter is one recursive walker.  `_run` charges a node and
 hands it to the rule of its operator in `RULES`, one rule per operator,

@@ -295,8 +295,10 @@ def _caught_locally(term, sigma, tree, index) -> bool:
         if not check_node(sub.op, node.payload, left, right,
                           target=sub.children[0].op if sub.op == ":=" else None):
             return True
+    if index:
+        return False
     runs = tree.root.payload.runs
-    return index == 0 and not (len(runs) == 1 and runs[0][0] == sigma)
+    return not (len(runs) == 1 and runs[0][0] == sigma)
 
 
 def test_statement_payload_mutations_all_rejected():
