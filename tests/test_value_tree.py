@@ -143,6 +143,16 @@ def test_build_statement_chain_costs_linear_work(monkeypatch):
     assert costs[2] - costs[1] == costs[1] - costs[0] > 0
 
 
+def test_build_and_validate_a_long_statement_chain():
+    # one frame per nested `seq` in the builder and the checks, so a chain
+    # this long stays inside the default recursion limit
+    chain = parse_term("; ".join(["x := x + 1"] * 900), X)
+    v = build_value_tree(chain, State(X, (0,)), 9000)
+    assert isinstance(v, ValueTree)
+    assert v.root_output() == State(X, (900,))
+    assert validate_report(chain, State(X, (0,)), v) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # Tree surgery helpers
 
@@ -245,6 +255,12 @@ def test_check_node_branch_guard_must_be_boolean():
     assert not check_node("if", StatePair(X3, X3), Val(0), StatePair(EMPTY, EMPTY))
 
 
+def test_check_node_untaken_branch_records_dummies():
+    a = State(X, (0,))
+    assert not check_node("if", StatePair(a, a), Val(False), StatePair(a, a))
+    assert check_node("if", StatePair(a, a), Val(False), StatePair(EMPTY, EMPTY))
+
+
 def test_check_node_while_alignment():
     a, b, c = (State(X, (i,)) for i in range(3))
     trace = NestedSeq([(a, b, c)])
@@ -256,6 +272,13 @@ def test_check_node_while_alignment():
     assert not check_node("while", trace, ValSeq([True, False]), body)
     # body runs must chain through consecutive trace states
     assert not check_node("while", trace, guard, NestedSeq([(a, b), (a, c)]))
+    # zero iterations: one false guard entry and no body run
+    none = StatePayload(())
+    assert check_node("while", NestedSeq([(a,)]), Val(False), none)
+    assert not check_node("while", NestedSeq([(a,)]), Val(True), none)
+    # a skipped loop checks its guard once, on the dummy state
+    assert check_node("while", NestedSeq([(EMPTY,)]), Val(EMPTY), none)
+    assert not check_node("while", NestedSeq([(EMPTY,)]), Val(False), none)
 
 
 def test_payload_shape_violations():
