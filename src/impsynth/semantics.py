@@ -26,8 +26,9 @@ a variable, read from the state by its position.  A chain of `seq` nodes
 nested to the right runs in one frame, so a long statement list does
 not deepen the recursion.  `eval_term` and `loop_trace` run on it, and
 so does the certificate builder (`value_tree.build_value_tree`), which
-evaluates each node on its own activation inputs; every convention of
-the certificate's evidence lives there, next to its checks.
+evaluates value nodes and loop traces on their activation inputs; the
+runs of the other statements follow from one flow shared with the
+checks.  Every convention of the certificate's evidence lives there.
 """
 
 from __future__ import annotations

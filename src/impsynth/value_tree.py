@@ -16,11 +16,13 @@ local checks and accepts if and only if the tree is the one
 `build_value_tree` produces, so the tree doubles as a checkable
 certificate that running the program on the recorded input yields the
 recorded output.  The builder evaluates the program once, then walks it
-top-down and evaluates each node on the input state of each of its
-activations; the parent's activations give the children's inputs.
+top-down.  It evaluates each value node on the input state of each of its
+activations and traces each loop from each of its own; every other run
+follows from the children's evidence.
 
-Alignment conventions, fixed here and relied on by the builder and the
-checks:
+Alignment conventions.  `_flow` states them once, as the order in which
+a statement hands its activations' states to its children; the builder
+and `check_node` both drive it:
 
 * A statement's run always has length 2 except at loops, where the run
   is the trace t0..tk (k iterations, possibly k = 0).
@@ -185,7 +187,7 @@ def _vnodes(shape, payload, i: int = 0) -> VNode:
 
 
 # --------------------------------------------------------------------------
-# Building: each node evaluated on its own activation inputs
+# Building: value nodes and loop traces evaluated, statement runs by the flow
 
 
 def build_value_tree(
@@ -195,9 +197,9 @@ def build_value_tree(
 
     f is evaluated once first, so this returns FuelExhausted or a Fault
     exactly when `eval_term` does.  Otherwise every activation of every
-    node ran within the fuel, so each node can be evaluated again on each
-    of its own inputs.  On the dummy input state every node holds the
-    dummy evidence.
+    node ran within the fuel, so each value node can be evaluated again
+    on each of its own inputs and each loop traced.  On the dummy input
+    state every node holds the dummy evidence.
     """
     outcome = eval_term(f, sigma, fuel)
     if isinstance(outcome, (Fault, FuelExhausted)):
@@ -211,34 +213,71 @@ def _evidence(t: Term, inputs: list, fuel: int) -> tuple[VNode, list]:
     the input state of each activation of t in chronological order (EMPTY
     for a skipped activation)."""
     kids = t.children
-    if t.op == "seq":
-        # the second statement starts where the first ends, and the
-        # sequence ends where the second does: a chain is walked once
-        first, mids = _evidence(kids[0], inputs, fuel)
-        rest, outs = _evidence(kids[1], mids, fuel)
-        return VNode(StatePayload(tuple(zip(inputs, outs))), (first, rest)), outs
-    if t.op == "while":
+    if t.sort is not Sort.STMT:
+        # every child sees the node's inputs; padding children hold the
+        # dummy value whatever they see
+        outs = [EMPTY if s is EMPTY else _run(t, s, Budget(fuel)) for s in inputs]
+        nodes = tuple(_evidence(c, inputs, fuel)[0] for c in kids)
+        return VNode(ValuePayload(tuple(outs)), nodes), outs
+    runs = [(EMPTY,) if s is EMPTY else loop_trace(kids[0], kids[1], s, fuel)
+            for s in inputs] if t.op == "while" else None
+    # the flow is driven here rather than through a callback, so a chain
+    # of sequences costs one frame per level
+    flow = _flow(t.op, kids[0].op, inputs, runs)
+    nodes, outs = [], None
+    while True:
+        try:
+            j, child_inputs = flow.send(outs)
+        except StopIteration as stop:
+            runs = stop.value
+            break
+        node, outs = _evidence(kids[j], child_inputs, fuel)
+        nodes.append(node)
+    return VNode(StatePayload(runs), tuple(nodes)), [r[-1] for r in runs]
+
+
+def _flow(op: str, target: str, inputs: list, runs: Sequence | None):
+    """How a statement's activations fix its children's and its own runs.
+
+    Yields (j, input states of child j's activations) for each child in
+    order and is sent child j's outputs on them: values, or the last
+    state of each run.  Returns the statement's runs, or None if those
+    outputs cannot come from this statement.  A loop's runs are given
+    (its traces); every other statement's run is (input, output), and
+    `target` names the variable an assignment writes.
+    """
+    if op == "while":
         # the guard is checked at every state of a trace, the body run
         # from every state but the last; a skipped loop checks its guard
         # once and never runs its body
-        runs = [(EMPTY,) if s is EMPTY else loop_trace(kids[0], kids[1], s, fuel)
-                for s in inputs]
-        guard, _ = _evidence(kids[0], [s for run in runs for s in run], fuel)
-        body, _ = _evidence(kids[1], [s for run in runs for s in run[:-1]], fuel)
-        return VNode(StatePayload(tuple(runs)), (guard, body)), [r[-1] for r in runs]
-    outs = [EMPTY if s is EMPTY else _run(t, s, Budget(fuel)) for s in inputs]
-    if t.op == "if":
-        guard, values = _evidence(kids[0], inputs, fuel)
+        if any(len(r) > 1 if r[0] is EMPTY else EMPTY in r for r in runs):
+            return None
+        guards = yield 0, [s for r in runs for s in r]
+        ends = yield 1, [s for r in runs for s in r[:-1]]
+        want = [g for r in runs for g in
+                ((EMPTY,) if r[0] is EMPTY else (True,) * (len(r) - 1) + (False,))]
+        ok = all(g is w for g, w in zip(guards, want))
+        return tuple(runs) if ok and ends == [s for r in runs for s in r[1:]] else None
+    first = yield 0, inputs
+    if op == "seq":
+        # the second statement starts where the first ends
+        outs = yield 1, first
+    elif op == "if":
+        if any(g is not EMPTY and not isinstance(g, bool) for g in first):
+            return None
         # the body of an untaken branch is skipped
-        body_inputs = [s if g is True else EMPTY for s, g in zip(inputs, values)]
-        body, _ = _evidence(kids[1], body_inputs, fuel)
-        return VNode(StatePayload(tuple(zip(inputs, outs))), (guard, body)), outs
-    # An assignment or a value node: every child sees the node's inputs.
-    # Padding children hold the dummy value whatever they see.
-    nodes = tuple(_evidence(c, inputs, fuel)[0] for c in kids)
-    if t.sort is Sort.STMT:
-        return VNode(StatePayload(tuple(zip(inputs, outs))), nodes), outs
-    return VNode(ValuePayload(tuple(outs)), nodes), outs
+        ends = yield 1, [s if g is True else EMPTY for s, g in zip(inputs, first)]
+        outs = [e if g is True else s for s, g, e in zip(inputs, first, ends)]
+    else:  # ":="
+        # the target records the value it held before the write; only
+        # integers are stored
+        values = yield 1, inputs
+        if any(s is not EMPTY and (isinstance(v, bool)
+                                   or not _value_equal(read, s.get(target)))
+               for s, read, v in zip(inputs, first, values)):
+            return None
+        outs = [s if s is EMPTY else s.set(target, v) for s, v in zip(inputs, values)]
+    return tuple(zip(inputs, outs))
 
 
 # --------------------------------------------------------------------------
@@ -340,109 +379,40 @@ def check_node(
                 return False
         return True
 
-    # statements
+    # statements: the flow is sent each child's recorded outputs once its
+    # recorded inputs match, and must give back the recorded runs
     p = _expect_state(parent, f"node {op!r}")
-    runs = p.runs
-    if op == ":=":
-        if target is None:
-            raise ValueTreeError("assignment check needs the target variable")
-        reads = _expect_value(left, "assignment target")
-        rhs = _expect_value(right, "assignment value")
-        if len(reads.entries) != len(runs) or len(rhs.entries) != len(runs):
+    if op == ":=" and target is None:
+        raise ValueTreeError("assignment check needs the target variable")
+    kids = [_expect_state(c, f"child {j} of {op!r}") if sort is Sort.STMT
+            else _expect_value(c, f"child {j} of {op!r}")
+            for j, (c, sort) in enumerate(zip((left, right), op_info(op).operands))]
+    flow = _flow(op, target, [r[0] for r in p.runs], p.runs)
+    outs = None
+    while True:
+        try:
+            j, want = flow.send(outs)
+        except StopIteration as stop:
+            return stop.value == p.runs
+        outs = _recorded(kids[j], want)
+        if outs is None:
             return False
-        for run, read, v in zip(runs, reads.entries, rhs.entries):
-            if len(run) != 2:
-                return False
-            src, dst = run
-            if src is EMPTY:
-                if dst is not EMPTY or read is not EMPTY or v is not EMPTY:
-                    return False
-            elif v is EMPTY or isinstance(v, bool):
-                return False
-            elif dst != src.set(target, v) or not _value_equal(read, src.get(target)):
-                return False
-        return True
-    if op == "seq":
-        s1 = _expect_state(left, "first statement of a sequence")
-        s2 = _expect_state(right, "second statement of a sequence")
-        if len(s1.runs) != len(runs) or len(s2.runs) != len(runs):
-            return False
-        for run, r1, r2 in zip(runs, s1.runs, s2.runs):
-            if len(run) != 2:
-                return False
-            if not _state_equal(r1[0], run[0]):
-                return False
-            if not _state_equal(r1[-1], r2[0]):
-                return False
-            if not _state_equal(r2[-1], run[1]):
-                return False
-        return True
-    if op == "if":
-        guard = _expect_value(left, "branch guard")
-        body = _expect_state(right, "branch body")
-        if len(guard.entries) != len(runs) or len(body.runs) != len(runs):
-            return False
-        for run, g, brun in zip(runs, guard.entries, body.runs):
-            if len(run) != 2:
-                return False
-            src, dst = run
-            if g is EMPTY:
-                if src is not EMPTY or dst is not EMPTY:
-                    return False
-                if any(s is not EMPTY for s in brun):
-                    return False
-            elif not isinstance(g, bool):
-                return False
-            elif g:
-                if not (_state_equal(brun[0], src) and _state_equal(brun[-1], dst)):
-                    return False
-            else:
-                if not _state_equal(dst, src):
-                    return False
-                if any(s is not EMPTY for s in brun):
-                    return False
-        return True
-    if op == "while":
-        guard = _expect_value(left, "loop guard")
-        body = _expect_state(right, "loop body")
-        gi = 0
-        bi = 0
-        for run in runs:
-            k = len(run) - 1
-            if run[0] is EMPTY:
-                # skipped activation: (dummy,) with one dummy guard entry
-                if k != 0:
-                    return False
-                if gi >= len(guard.entries) or guard.entries[gi] is not EMPTY:
-                    return False
-                gi += 1
-                continue
-            if any(s is EMPTY for s in run):
-                return False
-            for step in range(k):
-                if gi >= len(guard.entries) or guard.entries[gi] is not True:
-                    return False
-                gi += 1
-                if bi >= len(body.runs):
-                    return False
-                brun = body.runs[bi]
-                bi += 1
-                if not (
-                    _state_equal(brun[0], run[step])
-                    and _state_equal(brun[-1], run[step + 1])
-                ):
-                    return False
-            if gi >= len(guard.entries) or guard.entries[gi] is not False:
-                return False
-            gi += 1
-        return gi == len(guard.entries) and bi == len(body.runs)
-    raise ValueTreeError(f"unknown statement operator {op!r}")
 
 
-def _state_equal(a: StateEntry, b: StateEntry) -> bool:
-    if a is EMPTY or b is EMPTY:
-        return a is b
-    return a == b
+def _recorded(child: NodePayload, inputs: list) -> list | None:
+    """A child's recorded outputs, if it records one activation per input
+    state, each a run from that state when it holds runs, and dummy
+    evidence exactly on the dummy inputs; otherwise None."""
+    if isinstance(child, StatePayload):
+        if any(r[0] != s or s is EMPTY and r != (EMPTY,) * len(r)
+               for r, s in zip(child.runs, inputs)):
+            return None
+        outs = [r[-1] for r in child.runs]
+    else:
+        outs = list(child.entries)
+        if any((s is EMPTY) != (e is EMPTY) for e, s in zip(outs, inputs)):
+            return None
+    return outs if len(outs) == len(inputs) else None
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +450,7 @@ def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | No
         starts = inputs  # the input states of the children's activations
         if node.sort is Sort.STMT:
             runs = payload.runs  # type: ignore[union-attr]
-            ok = path != 0 or len(runs) == 1 and _state_equal(runs[0][0], sigma)
+            ok = path != 0 or len(runs) == 1 and runs[0][0] == sigma
             if node.op == "while":
                 # the guard is checked at every state of every trace
                 starts = [s for run in runs for s in run]
