@@ -15,20 +15,21 @@ only when the root itself is a padding node, and no rule below ever
 meets a dummy operand.  The dummy input state is handled once, where a
 run starts: `eval_term` gives the dummy value and `loop_trace` a
 "dummy guard" fault.  The rule that a dummy operand gives a dummy result
-is written in one place, `value_tree.check_node`, which checks the
-evidence of skipped subtrees.  Division by zero raises a fault, which is
-distinct from the dummy value.
+is written in one place, the value rule of `value_tree` (`_value`), which
+gives the evidence of skipped subtrees.  Division by zero raises a fault,
+which is distinct from the dummy value.
 
 The interpreter is one recursive walker.  `_run` charges a node and
 hands it to the rule of its operator in `RULES`, one rule per operator,
 built from `LITERALS` and `VALUE_OPS`; a name missing from the table is
 a variable, read from the state by its position.  A chain of `seq` nodes
 nested to the right runs in one frame, so a long statement list does
-not deepen the recursion.  `eval_term` and `loop_trace` run on it, and
-so does the certificate builder (`value_tree.build_value_tree`), which
-evaluates value nodes and loop traces on their activation inputs; the
-runs of the other statements follow from one flow shared with the
-checks.  Every convention of the certificate's evidence lives there.
+not deepen the recursion.  `eval_term` and `loop_trace` run on it.  The
+certificate builder (`value_tree.build_value_tree`) calls `eval_term`
+once and `loop_trace` on each loop activation; each value node's evidence
+follows from its children's by one value rule, and the runs of the other
+statements by one flow, both shared with the checks.  Every convention of
+the certificate's evidence lives there.
 """
 
 from __future__ import annotations

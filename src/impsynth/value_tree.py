@@ -16,9 +16,10 @@ local checks and accepts if and only if the tree is the one
 `build_value_tree` produces, so the tree doubles as a checkable
 certificate that running the program on the recorded input yields the
 recorded output.  The builder evaluates the program once, then walks it
-top-down.  It evaluates each value node on the input state of each of its
-activations and traces each loop from each of its own; every other run
-follows from the children's evidence.
+top-down and traces each loop from the input state of each of its
+activations.  Everything else follows from the children's evidence, by
+the rules the checks read: a value node's entries by `_value`, a
+statement's runs by `_flow`.
 
 Alignment conventions.  `_flow` states them once, as the order in which
 a statement hands its activations' states to its children; the builder
@@ -65,16 +66,7 @@ from .codec import (
     seq_to_nat,
     unpair,
 )
-from .semantics import (
-    LITERALS,
-    Budget,
-    Fault,
-    FuelExhausted,
-    _run,
-    apply_op,
-    eval_term,
-    loop_trace,
-)
+from .semantics import LITERALS, Fault, FuelExhausted, apply_op, eval_term, loop_trace
 from .terms import (
     EMPTY,
     EmptyState,
@@ -187,7 +179,8 @@ def _vnodes(shape, payload, i: int = 0) -> VNode:
 
 
 # --------------------------------------------------------------------------
-# Building: value nodes and loop traces evaluated, statement runs by the flow
+# Building: loops traced, value entries by the value rule, statement runs
+# by the flow
 
 
 def build_value_tree(
@@ -197,8 +190,9 @@ def build_value_tree(
 
     f is evaluated once first, so this returns FuelExhausted or a Fault
     exactly when `eval_term` does.  Otherwise every activation of every
-    node ran within the fuel, so each value node can be evaluated again
-    on each of its own inputs and each loop traced.  On the dummy input
+    node ran within the fuel and without a fault, so each loop can be
+    traced again from each of its own inputs, and each value node's
+    entries follow from its children's by `_value`.  On the dummy input
     state every node holds the dummy evidence.
     """
     outcome = eval_term(f, sigma, fuel)
@@ -215,10 +209,11 @@ def _evidence(t: Term, inputs: list, fuel: int) -> tuple[VNode, list]:
     kids = t.children
     if t.sort is not Sort.STMT:
         # every child sees the node's inputs; padding children hold the
-        # dummy value whatever they see
-        outs = [EMPTY if s is EMPTY else _run(t, s, Budget(fuel)) for s in inputs]
-        nodes = tuple(_evidence(c, inputs, fuel)[0] for c in kids)
-        return VNode(ValuePayload(tuple(outs)), nodes), outs
+        # dummy value whatever they see, and only the real ones are operands
+        built = [_evidence(c, inputs, fuel) for c in kids]
+        operands = [outs for _, outs in built[:op_info(t.op).arity]]
+        outs = [_value(t.op, s, xs) for s, *xs in zip(inputs, *operands)]
+        return VNode(ValuePayload(tuple(outs)), tuple(n for n, _ in built)), outs
     runs = [(EMPTY,) if s is EMPTY else loop_trace(kids[0], kids[1], s, fuel)
             for s in inputs] if t.op == "while" else None
     # the flow is driven here rather than through a callback, so a chain
@@ -280,6 +275,25 @@ def _flow(op: str, target: str, inputs: list, runs: Sequence | None):
     return tuple(zip(inputs, outs))
 
 
+def _value(op: str, sigma, operands: Sequence):
+    """A value node's entry on one activation, from that activation's input
+    state and its real children's entries on it.
+
+    Padding holds the dummy value, and so does an operator on a dummy
+    operand or a leaf on the dummy input.  Otherwise the entry is the
+    operator applied to its operands (None when that faults), the literal,
+    or the variable's value in the input.  An operator does not read the
+    input: its operands are dummy exactly when the input is.
+    """
+    if op == "nop" or op == "null":
+        return EMPTY
+    if operands:
+        return EMPTY if EMPTY in operands else apply_op(op, *operands)
+    if sigma is EMPTY:
+        return EMPTY
+    return LITERALS[op] if op in LITERALS else sigma.get(op)
+
+
 # --------------------------------------------------------------------------
 # Local checks
 
@@ -313,19 +327,8 @@ def check_leaf(
     p = _expect_value(payload, f"leaf {op!r}")
     if isinstance(inputs, (State, EmptyState)):
         inputs = [inputs]
-    if len(p.entries) != len(inputs):
-        return False
-    for entry, sigma in zip(p.entries, inputs):
-        if op == "null" or sigma is EMPTY:
-            if entry is not EMPTY:
-                return False
-        elif op in LITERALS:
-            if not _value_equal(entry, LITERALS[op]):
-                return False
-        else:  # variable
-            if not _value_equal(entry, sigma.get(op)):
-                return False
-    return True
+    return len(p.entries) == len(inputs) and all(
+        _value_equal(e, _value(op, s, ())) for e, s in zip(p.entries, inputs))
 
 
 def check_node(
@@ -361,22 +364,16 @@ def check_node(
                 return False
         if any(len(c.entries) != n for c in reals):
             return False
-        if op == "nop" or op == "null":
-            return all(e is EMPTY for e in p.entries)
-        if arity == 0:
+        if arity == 0 and op != "null":
             # widened literal or variable: value comes from the input state
             if inputs is None:
                 raise ValueTreeError(f"check of widened {op!r} needs input states")
             return check_leaf(op, parent, list(inputs))
-        for pe, *args in zip(p.entries, *(c.entries for c in reals)):
-            if any(a is EMPTY for a in args):
-                want = EMPTY
-            else:
-                want = apply_op(op, *args)
-                if want is None:  # fault: no value certifies this activation
-                    return False
-            if not _value_equal(pe, want):
-                return False
+        # padding and operators do not read the input
+        for e, *xs in zip(p.entries, *(c.entries for c in reals)):
+            want = _value(op, None, xs)
+            if want is None or not _value_equal(e, want):
+                return False  # no value certifies a faulting activation
         return True
 
     # statements: the flow is sent each child's recorded outputs once its

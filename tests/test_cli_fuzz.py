@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from impsynth.cli import main
@@ -55,7 +55,7 @@ def _file(*names: str):
 PROGRAM_FILES = _file("count_up.imp", "sum.imp", "sum_binform.imp",
                       "copy.prob")
 PROBLEMS = _file("copy.prob", "copy_small.prob", "value_five.prob",
-                 "assign_five.prob", "expr.rtg")
+                 "assign_five.prob", "looping_partial.prob", "expr.rtg")
 GRAMMARS = _file("copy.rtg", "expr.rtg", "looping.rtg", "value_five.prob")
 CERTS = _file("sum_binform.cert", "expr.rtg")
 
@@ -124,6 +124,11 @@ def argvs(draw) -> list[str]:
 @settings(max_examples=100, deadline=2000, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+# the drawn commands seldom name a problem, so a partial-mode one runs here
+@example(["synth", "--problem", str(FIXTURES / "looping_partial.prob"),
+          "--size-budget", "7", "--fuel", "64"])
+@example(["cegis", "--problem", str(FIXTURES / "looping_partial.prob"),
+          "--rounds", "3", "--size-budget", "7", "--fuel", "64"])
 def test_cli_exit_codes_are_documented(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

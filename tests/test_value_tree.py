@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from impsynth import value_tree
 from impsynth.codec import CodecError
 from impsynth.grammar import embed
-from impsynth.semantics import FUEL_EXHAUSTED, Fault, eval_term
+from impsynth.semantics import FUEL_EXHAUSTED, Fault, apply_op, eval_term
 from impsynth.terms import EMPTY, Sort, State, Term, VarUniverse, parse_term
 from impsynth.value_tree import (
     NestedSeq,
@@ -119,27 +119,33 @@ def test_build_matches_eval_outcome():
             assert tree.root_output() == outcome.state
 
 
+def _apply_op_calls(monkeypatch, program, n):
+    """Operator applications the builder makes on `program(n)` at x=0."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply_op(*args)
+
+    monkeypatch.setattr(value_tree, "apply_op", counting)
+    built(parse_term(program(n), X), State(X, (0,)), fuel=10 * n)
+    return calls
+
+
 def test_build_statement_chain_costs_linear_work(monkeypatch):
-    # every node evaluation the builder starts charges a value_tree.Budget
-    charges = 0
-
-    class CountingBudget(value_tree.Budget):
-        def charge(self):
-            nonlocal charges
-            charges += 1
-            super().charge()
-
-    monkeypatch.setattr(value_tree, "Budget", CountingBudget)
-
-    def cost(n):
-        nonlocal charges
-        charges = 0
-        chain = parse_term("; ".join(["x := x + 1"] * n), X)
-        built(chain, State(X, (0,)), fuel=10 * n)
-        return charges
-
-    costs = [cost(n) for n in (100, 200, 300)]
+    # the builder applies each operator once per activation
+    costs = [_apply_op_calls(monkeypatch, lambda n: "; ".join(["x := x + 1"] * n), n)
+             for n in (100, 200, 300)]
     # each further statement adds the same work, whatever follows it
+    assert costs[2] - costs[1] == costs[1] - costs[0] > 0
+
+
+def test_build_numeral_costs_linear_work(monkeypatch):
+    # a numeral n is a chain of n - 1 additions; each node's value comes
+    # from its children's, so the chain is not evaluated again per node
+    costs = [_apply_op_calls(monkeypatch, lambda n: f"x := {n}", n)
+             for n in (100, 200, 300)]
     assert costs[2] - costs[1] == costs[1] - costs[0] > 0
 
 
