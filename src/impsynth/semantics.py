@@ -24,12 +24,11 @@ hands it to the rule of its operator in `RULES`, one rule per operator,
 built from `LITERALS` and `VALUE_OPS`; a name missing from the table is
 a variable, read from the state by its position.  A chain of `seq` nodes
 nested to the right runs in one frame, so a long statement list does
-not deepen the recursion.  `eval_term` and `loop_trace` run on it.  The
-certificate builder (`value_tree.build_value_tree`) calls `eval_term`
-once and `loop_trace` on each loop activation; each value node's evidence
-follows from its children's by one value rule, and the runs of the other
-statements by one flow, both shared with the checks.  Every convention of
-the certificate's evidence lives there.
+not deepen the recursion.  `eval_term` and `loop_trace` run on it; the
+certificate builder (`value_tree.build_value_tree`) calls them, and
+derives the rest of its evidence by a value rule and a statement flow
+that it shares with the checks.  Every convention of the certificate's
+evidence lives there.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ def _div(a: int, b: int) -> int:
 
 
 # The meaning of every literal and value operator, stated once.  The
-# evaluator, the certificate checker and the search engines all read these
-# two tables; an operator faults by raising _FaultSignal.
+# evaluator, the certificate builder and checker and the search engines all
+# read these two tables; an operator faults by raising _FaultSignal.
 LITERALS: dict[str, Union[int, bool]] = {"0": 0, "1": 1, "true": True, "false": False}
 VALUE_OPS = {
     "+": operator.add,

@@ -208,12 +208,15 @@ def _evidence(t: Term, inputs: list, fuel: int) -> tuple[VNode, list]:
     for a skipped activation)."""
     kids = t.children
     if t.sort is not Sort.STMT:
-        # every child sees the node's inputs; padding children hold the
-        # dummy value whatever they see, and only the real ones are operands
-        built = [_evidence(c, inputs, fuel) for c in kids]
-        operands = [outs for _, outs in built[:op_info(t.op).arity]]
+        # every child sees the node's inputs; padding children are no operands
+        nodes, operands = [], []
+        for c in kids:
+            node, outs = _evidence(c, inputs, fuel)
+            nodes.append(node)
+            if c.sort is not Sort.NULL:
+                operands.append(outs)
         outs = [_value(t.op, s, xs) for s, *xs in zip(inputs, *operands)]
-        return VNode(ValuePayload(tuple(outs)), tuple(n for n, _ in built)), outs
+        return VNode(ValuePayload(tuple(outs)), tuple(nodes)), outs
     runs = [(EMPTY,) if s is EMPTY else loop_trace(kids[0], kids[1], s, fuel)
             for s in inputs] if t.op == "while" else None
     # the flow is driven here rather than through a callback, so a chain
@@ -348,7 +351,7 @@ def check_node(
     """
     arity = op_info(op).arity
 
-    if op in ("nop", "null") or op_info(op).sort in (Sort.EXPR, Sort.VAR, Sort.BOOL):
+    if op_info(op).sort is not Sort.STMT:
         p = _expect_value(parent, f"node {op!r}")
         n = len(p.entries)
         pads: list[ValuePayload] = []
@@ -369,9 +372,8 @@ def check_node(
             if inputs is None:
                 raise ValueTreeError(f"check of widened {op!r} needs input states")
             return check_leaf(op, parent, list(inputs))
-        # padding and operators do not read the input
         for e, *xs in zip(p.entries, *(c.entries for c in reals)):
-            want = _value(op, None, xs)
+            want = _value(op, None, xs)  # padding and operators read no input
             if want is None or not _value_equal(e, want):
                 return False  # no value certifies a faulting activation
         return True
