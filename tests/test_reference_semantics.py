@@ -23,6 +23,7 @@ from impsynth.semantics import (
     Value,
     eval_term,
 )
+from impsynth.terms import State
 from impsynth.value_tree import ValueTree, build_value_tree, validate_report
 
 from .test_semantics_oracle import ROOT, _GRAMMARS, _grammar, _states
@@ -49,7 +50,7 @@ def _plain(v) -> tuple:
     """A value or state in one comparable form; a bool is not an int."""
     if isinstance(v, dict):
         return ("state", tuple(sorted(v.items())))
-    if hasattr(v, "universe"):
+    if isinstance(v, State):
         return _plain(reference.state_dict(v))
     return (type(v).__name__, v)
 
