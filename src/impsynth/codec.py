@@ -252,14 +252,11 @@ def heap_height(length: int) -> int:
     return height
 
 
-def encode_heap(root, cell) -> EncodedTree:
-    """The cells ``cell(node)`` of a tree, in heap order, as one triple.
+def heap_slots(root) -> list:
+    """Every node of a tree with its heap slot, in preorder.
 
     The children of slot i sit at 2i+1 and 2i+2, so a tree of height h
-    takes 2^(h+1) - 1 slots; slots without a node hold 0.  One preorder
-    walk over ``children`` finds the slots and the height, and a tree too
-    tall to lay out is refused before any cell is computed or allocated.
-    Cells are computed in preorder.
+    takes 2^(h+1) - 1 slots; slots without a node hold 0.
     """
     order = []
     stack = [(root, 0)]
@@ -269,7 +266,15 @@ def encode_heap(root, cell) -> EncodedTree:
         kids = node.children
         for j in range(len(kids) - 1, -1, -1):
             stack.append((kids[j], 2 * i + j + 1))
-    # heap indices grow with depth, so the deepest node has the largest one
+    return order
+
+
+def encode_heap(root, cell) -> EncodedTree:
+    """The cells ``cell(node)`` of a tree, laid out by `heap_slots`, as
+    one triple.  A tree too tall to lay out is refused before any cell
+    is computed or allocated.  Cells are computed in preorder."""
+    order = heap_slots(root)
+    # heap slots grow with depth, so the deepest node has the largest one
     height = (max(i for _, i in order) + 1).bit_length() - 1
     length = 2 ** (height + 1) - 1
     factorial_base_size(length)

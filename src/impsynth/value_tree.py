@@ -48,7 +48,7 @@ and `check_node` both drive it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .codec import (
     CodecError,
@@ -56,6 +56,7 @@ from .codec import (
     decode_seq,
     encode_heap,
     encode_state,
+    heap_slots,
     decode_state,
     int_to_nat,
     nat_to_int,
@@ -147,20 +148,17 @@ class ValueTree:
     root: VNode
 
     def node_at(self, index: int) -> VNode:
-        """Node by heap index (children of i at 2i+1, 2i+2)."""
-        path = []
-        while index:
-            path.append((index - 1) % 2)
-            index = (index - 1) // 2
-        node = self.root
-        for step in reversed(path):
-            node = node.children[step]
-        return node
+        """Node by heap slot (`codec.heap_slots`)."""
+        for node, i in heap_slots(self.root):
+            if i == index:
+                return node
+        raise IndexError(f"heap slot {index} holds no node")
 
     def with_payload(self, index: int, payload: NodePayload) -> "ValueTree":
         """Copy of the tree with one node's payload replaced."""
-        return ValueTree(self.input, _vnodes(
-            self.root, lambda node, i: payload if i == index else node.payload))
+        return ValueTree(self.input, _vnodes(self.root, (
+            payload if i == index else node.payload
+            for node, i in heap_slots(self.root))))
 
     def root_output(self) -> Union[ValueEntry, StateEntry]:
         p = self.root.payload
@@ -169,13 +167,11 @@ class ValueTree:
         return p.runs[0][-1]
 
 
-def _vnodes(shape, payload, i: int = 0) -> VNode:
-    """A VNode tree shaped like ``shape`` (a Term or a VNode), holding
-    ``payload(node, i)`` for the shape node at heap index i (children of i
-    at 2i+1, 2i+2).  Payloads are asked for in preorder."""
-    own = payload(shape, i)
-    return VNode(own, tuple(_vnodes(c, payload, 2 * i + j + 1)
-                            for j, c in enumerate(shape.children)))
+def _vnodes(shape, payloads: Iterator[NodePayload]) -> VNode:
+    """A VNode tree shaped like ``shape`` (a Term or a VNode), taking
+    its nodes' payloads from ``payloads`` in preorder."""
+    own = next(payloads)
+    return VNode(own, tuple(_vnodes(c, payloads) for c in shape.children))
 
 
 # --------------------------------------------------------------------------
@@ -242,15 +238,17 @@ def _flow(op: str, target: str, inputs: list, runs: Sequence | None):
     state of each run.  Returns the statement's runs, or None if those
     outputs cannot come from this statement.  A loop's runs are given
     (its traces); every other statement's run is (input, output), and
-    `target` names the variable an assignment writes.
+    `target` names the variable an assignment writes.  The first request
+    comes whatever the runs hold, and every value child is activated on
+    its states.
     """
     if op == "while":
         # the guard is checked at every state of a trace, the body run
         # from every state but the last; a skipped loop checks its guard
         # once and never runs its body
+        guards = yield 0, [s for r in runs for s in r]
         if any(len(r) > 1 if r[0] is EMPTY else EMPTY in r for r in runs):
             return None
-        guards = yield 0, [s for r in runs for s in r]
         ends = yield 1, [s for r in runs for s in r[:-1]]
         want = [g for r in runs for g in
                 ((EMPTY,) if r[0] is EMPTY else (True,) * (len(r) - 1) + (False,))]
@@ -432,7 +430,8 @@ def _check_shape(f: Term, v: VNode) -> None:
 
 
 def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | None]:
-    """Run all local checks; on failure also report the first bad node.
+    """Run all local checks; on failure also report the first bad node's
+    heap slot.
 
     Failure order is post-order (children before parents, left before
     right), so the report names the deepest, leftmost inconsistency.
@@ -440,26 +439,26 @@ def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | No
     the first failure.
     """
     _check_shape(f, v.root)
+    count = 0
 
-    def first_bad(node: Term, vn: VNode, path: int, inputs) -> int | None:
-        """Heap index of the first failing node of this subtree, or None;
-        `inputs` lists the per-activation input states of value nodes and is
-        None for statements, whose runs carry their own states."""
+    def first_bad(node: Term, vn: VNode, inputs) -> int | None:
+        """Preorder number of the first failing node of this subtree, or
+        None; `inputs` lists the per-activation input states of value nodes
+        and is None for statements, whose runs carry their own states."""
+        nonlocal count
+        k = count
+        count += 1
         payload = vn.payload
-        starts = inputs  # the input states of the children's activations
+        target = node.children[0].op if node.op == ":=" else None
+        starts = inputs  # the input states of the value children's activations
         if node.sort is Sort.STMT:
             runs = payload.runs  # type: ignore[union-attr]
-            ok = path != 0 or len(runs) == 1 and runs[0][0] == sigma
-            if node.op == "while":
-                # the guard is checked at every state of every trace
-                starts = [s for run in runs for s in run]
-            else:
-                starts = [r[0] for r in runs]
+            ok = k != 0 or len(runs) == 1 and runs[0][0] == sigma
+            _, starts = next(_flow(node.op, target, [r[0] for r in runs], runs))
         else:
-            ok = path != 0 or len(payload.entries) == 1  # type: ignore[union-attr]
-        for j, (fc, vc) in enumerate(zip(node.children, vn.children)):
-            bad = first_bad(fc, vc, 2 * path + j + 1,
-                            None if fc.sort is Sort.STMT else starts)
+            ok = k != 0 or len(payload.entries) == 1  # type: ignore[union-attr]
+        for fc, vc in zip(node.children, vn.children):
+            bad = first_bad(fc, vc, None if fc.sort is Sort.STMT else starts)
             if bad is not None:
                 return bad
         kids = vn.children
@@ -469,13 +468,11 @@ def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | No
             ok = ok and check_node(
                 node.op, payload, kids[0].payload,
                 kids[1].payload if len(kids) > 1 else None,
-                inputs=inputs,
-                target=node.children[0].op if node.op == ":=" else None,
-            )
-        return None if ok else path
+                inputs=inputs, target=target)
+        return None if ok else k
 
-    bad = first_bad(f, v.root, 0, None if f.sort is Sort.STMT else [sigma])
-    return bad is None, bad
+    bad = first_bad(f, v.root, None if f.sort is Sort.STMT else [sigma])
+    return (True, None) if bad is None else (False, heap_slots(f)[bad][1])
 
 
 def validate(f: Term, sigma: State, v: ValueTree) -> bool:
@@ -588,5 +585,6 @@ def decode_value_tree(
             f"certificate encodes height {e.height}, term has {term_height(f)}"
         )
     cells = decode_seq(e.seq)
-    return ValueTree(sigma, _vnodes(
-        f, lambda node, i: decode_payload_cell(cells[i], node.sort, universe)))
+    return ValueTree(sigma, _vnodes(f, (
+        decode_payload_cell(cells[i], node.sort, universe)
+        for node, i in heap_slots(f))))
