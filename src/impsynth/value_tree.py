@@ -345,10 +345,12 @@ def check_node(
 
     `inputs` is needed for widened nullary operators (their own value is
     read off the input, not off the padding children); `target` names
-    the variable written by an assignment.
+    the variable written by an assignment.  Each operand needs a payload.
     """
     arity = op_info(op).arity
-
+    if left is None and arity > 0 or right is None and arity > 1:
+        got = sum(c is not None for c in (left, right)[:arity])
+        raise ValueTreeError(f"node {op!r} needs {arity} child payloads, got {got}")
     if op_info(op).sort is not Sort.STMT:
         p = _expect_value(parent, f"node {op!r}")
         n = len(p.entries)

@@ -296,6 +296,18 @@ def test_payload_shape_violations():
         check_node("seq", Val(1), Val(1), Val(1))
 
 
+def test_check_node_needs_a_payload_per_operand():
+    s = X3
+    for call, got in [
+            (lambda: check_node("+", Val(1), None, None), 0),
+            (lambda: check_node("not", Val(True), None, None), 0),
+            (lambda: check_node("+", Val(1), Val(1), None), 1),
+            (lambda: check_node(":=", StatePair(s, s), None, None, target="x"), 0),
+            (lambda: check_node("seq", StatePair(s, s), StatePair(s, s), None), 1)]:
+        with pytest.raises(ValueTreeError, match=f"child payloads, got {got}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Whole-tree validation
 
