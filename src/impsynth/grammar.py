@@ -184,7 +184,7 @@ class Levels:
     bottom-up from smaller levels and memoised.
 
     With no key, a level holds every distinct term, in no set order.
-    With ``key(term, size)``, a level of nt keeps, in prefix order, the
+    With ``key(term)``, a level of nt keeps, in prefix order, the
     first term of each key that no smaller term of nt has; larger terms
     are built from kept terms only, and ``keys`` maps each kept term to
     its key.  Each derivation is keyed, also of a term that another
@@ -234,7 +234,7 @@ class Levels:
         seen = self._seen[nt]
         kept = []
         for t in sorted(found, key=to_prefix):
-            value = self._key(t, n)
+            value = self._key(t)
             if value not in seen:
                 seen.add(value)
                 self.keys[t] = value

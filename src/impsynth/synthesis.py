@@ -551,14 +551,14 @@ def _decision_list_pbe(problem: SynthesisProblem, size_budget: int,
 
     work = 0  # most fuel the key evaluations could have spent
 
-    def outcomes(t: Term, size: int) -> object:
+    def outcomes(t: Term) -> object:
         """The outcomes of ``t`` on the examples.  A variable leaf keys by
         its name, because an assignment target is a name, not a value."""
         nonlocal work
         if t.sort is Sort.VAR:
             return t.op
-        work += size * len(examples)
-        return tuple(eval_term(t, sigma, size + 1) for sigma in examples)
+        work += t.size * len(examples)
+        return tuple(eval_term(t, sigma, t.size + 1) for sigma in examples)
 
     grown = Rtg(g.universe, g.start, tuple(
         (nt, tuple(p for p in prods if p.op not in _FALLBACK_SKIP_OPS))

@@ -451,10 +451,10 @@ def test_guarded_block_fallback_on_an_ambiguous_grammar(
 def _outcome_levels(g, examples):
     """Levels of g without `if`, keyed by outcomes on the examples, a
     variable leaf by its name."""
-    def outcomes(t, size):
+    def outcomes(t):
         if t.sort is Sort.VAR:
             return t.op
-        return tuple(eval_term(t, sigma, size + 1) for sigma in examples)
+        return tuple(eval_term(t, sigma, t.size + 1) for sigma in examples)
 
     grown = Rtg(g.universe, g.start, tuple(
         (nt, tuple(p for p in prods if p.op != "if")) for nt, prods in g.rules))
