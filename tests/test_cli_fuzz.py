@@ -121,9 +121,22 @@ def argvs(draw) -> list[str]:
     return before + command[:1] + after + command[1:]
 
 
+def _problem_examples(test):
+    """Run synth and cegis, under both engines, on the problems the draws
+    never name: exits 3, 0, 64 and 66."""
+    for problem in (str(FIXTURES / "copy.prob"), str(FIXTURES / "assign_five.prob"),
+                    str(FIXTURES / "expr.rtg"), MISSING):
+        for command in (["synth"], ["cegis", "--rounds", "3"],
+                        ["cegis", "--rounds", "3", "--engine", "dovetail"]):
+            test = example(command + ["--problem", problem, "--size-budget", "12",
+                                      "--fuel", "64"])(test)
+    return test
+
+
 @settings(max_examples=100, deadline=2000, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+@_problem_examples
 # the drawn commands seldom name a problem, so a partial-mode one runs here
 @example(["synth", "--problem", str(FIXTURES / "looping_partial.prob"),
           "--size-budget", "7", "--fuel", "64"])
