@@ -253,11 +253,9 @@ def heap_height(length: int) -> int:
 
 
 def heap_slots(root) -> list:
-    """Every node of a tree with its heap slot, in preorder.
-
-    The children of slot i sit at 2i+1 and 2i+2, so a tree of height h
-    takes 2^(h+1) - 1 slots; slots without a node hold 0.
-    """
+    """Every node of a tree with its heap slot, in preorder.  The
+    children of slot i sit at 2i+1 and 2i+2, so a tree of height h takes
+    2^(h+1) - 1 slots; slots without a node hold 0."""
     order = []
     stack = [(root, 0)]
     while stack:

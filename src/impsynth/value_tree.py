@@ -239,8 +239,7 @@ def _flow(op: str, target: str, inputs: list, runs: Sequence | None):
     outputs cannot come from this statement.  A loop's runs are given
     (its traces); every other statement's run is (input, output), and
     `target` names the variable an assignment writes.  The first request
-    comes whatever the runs hold, and every value child is activated on
-    its states.
+    is made whatever the runs hold; it gives every value child's inputs.
     """
     if op == "while":
         # the guard is checked at every state of a trace, the body run
@@ -432,8 +431,7 @@ def _check_shape(f: Term, v: VNode) -> None:
 
 
 def validate_report(f: Term, sigma: State, v: ValueTree) -> tuple[bool, int | None]:
-    """Run all local checks; on failure also report the first bad node's
-    heap slot.
+    """Run all local checks; on failure also name the first bad node's slot.
 
     Failure order is post-order (children before parents, left before
     right), so the report names the deepest, leftmost inconsistency.
@@ -566,10 +564,9 @@ def decode_payload_cell(
 
 
 def encode_value_tree(v: ValueTree) -> EncodedTree:
-    """Heap-order payload cells compressed into one integer triple.
+    """Payload cells laid out by `codec.encode_heap`, as one triple.
 
-    Slots without a node (the tree need not be perfectly shaped) hold
-    0; the decoder never reads them because it walks the term's shape.
+    The decoder walks the term's shape, so it reads only its nodes' slots.
     Evidence for loops over non-trivial states produces cells too large
     for the factorial compression of the final sequence — the codec is
     exact, not compact — and then this raises a CodecError; so does a
