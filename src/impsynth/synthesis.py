@@ -110,8 +110,9 @@ class Mode(Enum):
     """How divergence interacts with the predicate.
 
     ``TOTAL`` demands an actual outcome for every domain state.
-    ``PARTIAL`` asks the predicate to hold only on runs that finish;
-    a run that exhausts its fuel counts as vacuously fine at that fuel.
+    ``PARTIAL`` asks the predicate to hold only on runs that finish
+    within the fuel cap; a run that exhausts the cap counts as vacuously
+    fine, and one that exhausts a smaller fuel decides nothing.
     """
 
     TOTAL = "total"
@@ -328,7 +329,8 @@ def _check(f: Term, problem: SynthesisProblem, states: Iterable[State],
     """Run ``f`` on each state in turn and return the first state that
     refutes it.  If none does: None when some run ran out of fuel under
     ``Mode.TOTAL``, True otherwise.  Under ``Mode.PARTIAL`` a run that
-    runs out of fuel satisfies the predicate vacuously at this fuel."""
+    runs out of fuel satisfies the predicate vacuously, so only the fuel
+    cap may be passed with a partial problem."""
     ok: bool | None = True
     for sigma in states:
         stats.evaluations += 1
@@ -458,7 +460,8 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
     diverging early candidate cannot block a later solution.  Candidates
     refuted at some fuel stay refuted (more fuel never changes a
     definite outcome) and are dropped; the live ones are checked again
-    in later rounds, before the newly drawn ones.
+    in later rounds, before the newly drawn ones.  A run out of fuel
+    below ``fuel_cap`` keeps its candidate live under either mode.
 
     The draw stops at the first ``_SCAN_CAP`` candidates.  Once every
     one of them is refuted the answer is ``BudgetExhausted``, never
@@ -469,6 +472,7 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
     stats = SearchStats()
     examples = problem.domain.examples
     stream = _Stream(problem.grammar, size_budget, cap=_SCAN_CAP)
+    below_cap = replace(problem, mode=Mode.TOTAL)
     live: list[Term] = []
     for r in itertools.count():
         fuel = 2 ** r
@@ -479,7 +483,8 @@ def synthesize_pbe(problem: SynthesisProblem, size_budget: int,
         done = stats.candidates < fuel  # the stream ran out
         kept = []
         for f in live + drawn:
-            ok = _check(f, problem, examples, min(fuel, fuel_cap), stats)
+            ok = _check(f, problem if fuel >= fuel_cap else below_cap,
+                        examples, min(fuel, fuel_cap), stats)
             if ok is True:
                 return Realized(f, stats)
             if ok is None:
@@ -709,12 +714,6 @@ def cegis(problem: SynthesisProblem, seed_examples: Sequence[State],
                 f"{fuel}", stats), state()
         cex = verdict.state
         history.append((candidate, cex))
-        if cex in examples:
-            # under partial correctness the example step may accept a
-            # candidate whose example runs all ran out of fuel
-            return BudgetExhausted(
-                f"round {round_no + 1}: counterexample {cex} repeats a "
-                f"known example", stats), state()
         examples.append(cex)
     return BudgetExhausted(
         f"no convergence within {round_budget} rounds", stats), state()

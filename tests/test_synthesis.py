@@ -355,19 +355,20 @@ def test_cegis_counterexamples_track_the_largest_constant():
         assert cex.get("y") == (largest_constant(candidate) or 0) + 1
 
 
-def test_cegis_stops_when_a_counterexample_repeats():
-    # under partial correctness the example step accepts `x := 0`, whose
-    # example run at fuel 1 runs out of fuel; the verifier then refutes it
-    # on that same example, which the next round cannot get past
+def test_cegis_realizes_a_partial_problem_with_loops():
+    # round 1 takes the first term, `x := 0`, which x=3 refutes; in round 2
+    # its run on x=3 at fuel 1 runs out, which decides nothing below the
+    # fuel cap, so the example step does not accept it again
     problem = SynthesisProblem(
         LOOPING, Finite((State(X, (3,)), State(X, (4,)))),
         parse_predicate("(> (out x) x)"), Mode.PARTIAL)
     result, trace = cegis(problem, [], 3, 7, 64)
-    assert isinstance(result, BudgetExhausted)
-    assert result.reason == "round 2: counterexample x=3 repeats a known example"
+    assert isinstance(result, Realized)
+    assert result.term == parse_term("x := 1 + x", X)
     assert result.stats.rounds == 2
     assert trace.examples == (State(X, (3,)),)
-    assert trace.history == ((parse_term("x := 0", X), State(X, (3,))),) * 2
+    assert trace.history == ((parse_term("x := 0", X), State(X, (3,))),
+                             (result.term, None))
 
 def test_example_assignment_problem_shape():
     problem = example_assignment_problem(50)

@@ -26,8 +26,10 @@ from impsynth.synthesis import (
     BoundedBox,
     Finite,
     Mode,
+    Realized,
     SynthesisError,
     SynthesisProblem,
+    Verified,
     cegis,
     load_problem,
     synthesize,
@@ -70,16 +72,10 @@ def _sweep(problem: SynthesisProblem, budget: int, fuel: int,
     calls = [
         ("synthesize", lambda: synthesize(problem, budget, fuel)),
         ("loop_free", lambda: synthesize_loop_free(problem, budget)),
-        ("pbe", lambda: synthesize_pbe(problem, budget, fuel))]
-    # Under Mode.PARTIAL a candidate accepted on the examples at a fuel
-    # where its runs ran out can be refuted by a known example at the
-    # verifier's fuel, which stops cegis on its repeated-example
-    # assertion; so cegis runs on total problems only.
-    if problem.mode is Mode.TOTAL:
-        calls += [
-            ("cegis", lambda: cegis(problem, [], 3, budget, fuel)),
-            ("cegis-dovetail", lambda: cegis(problem, [], 3, budget, fuel,
-                                             engine="dovetail"))]
+        ("pbe", lambda: synthesize_pbe(problem, budget, fuel)),
+        ("cegis", lambda: cegis(problem, [], 3, budget, fuel)),
+        ("cegis-dovetail", lambda: cegis(problem, [], 3, budget, fuel,
+                                         engine="dovetail"))]
     for name, call in calls:
         text = _outcome(call)
         kinds.append(text.split(" ", 1)[0])
@@ -205,7 +201,33 @@ def test_seeded_problem_sweep_hash():
                 _sweep(problem, budget, fuel, digest, kinds)
     assert [kinds.count(k) for k in
             ("Realized", "Unrealizable", "BudgetExhausted", "error")] \
-        == [154, 16, 222, 184]
+        == [223, 24, 289, 184]
     assert digest.hexdigest() == (
-        "29dab23b9621efce47c8884580172be6"
-        "f63dced0575a59363e45deb2632706dd")
+        "b5a7aabb952e65219c8916dd4854e306"
+        "6774a71726fe67bae5549b9babed4d6a")
+
+
+def test_partial_realized_answers_pass_verify():
+    """Under Mode.PARTIAL, every `Realized` from `synthesize` or
+    `synthesize_pbe` passes `verify` at the same fuel cap."""
+    rng = random.Random(20261019)
+    realized = 0
+    for name, text, largest, templates in _GRAMMARS:
+        grammar = parse_grammar(text)
+        for _ in range(40):
+            problem = _random_problem(rng, grammar, templates)
+            budget = rng.randint(1, largest)
+            if problem.mode is not Mode.PARTIAL:
+                continue
+            for fuel in (4, 64):
+                for engine in (synthesize, synthesize_pbe):
+                    try:
+                        result = engine(problem, budget, fuel)
+                    except SynthesisError:
+                        continue
+                    if isinstance(result, Realized):
+                        realized += 1
+                        assert verify(result.term, problem, fuel) == Verified(), (
+                            name, problem.domain, problem.spec.text, budget, fuel,
+                            engine.__name__, result.term)
+    assert realized == 155
