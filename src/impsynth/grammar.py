@@ -12,14 +12,17 @@ Enumeration order is part of the contract: terms come out in
 nondecreasing size, ties broken by the lexicographic order of their
 prefix serialization.  Search results elsewhere in the package are
 reproducible because of this.  One bottom-up builder, `Levels`, makes
-the terms of each nonterminal size by size: `enumerate_terms` sorts the
-start symbol's levels, and with a class key (such as a term's outcomes
-on a set of examples) each level keeps only the first term of every
-class not seen at a smaller size.
+the terms of each nonterminal size by size, each level in prefix order:
+`enumerate_terms` streams the start symbol's levels without storing
+them, and with a class key (such as a term's outcomes on a set of
+examples) each level keeps only the first term of every class not seen
+at a smaller size.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -173,23 +176,34 @@ def enumerate_terms(g: Rtg, max_size: int | None = None) -> Iterator[Term]:
         return
     bound = max_size if max_size is not None else _largest(g)
     levels = Levels(g)
-    n = 1
-    while bound is None or n <= bound:
-        yield from sorted(levels.at(g.start, n), key=to_prefix)
-        n += 1
+    for n in itertools.count(1) if bound is None else range(1, bound + 1):
+        yield from levels.stream(g.start, n)
+
+
+def _splits(p: Production, n: int) -> list[tuple[int, ...]]:
+    """The operand sizes with which p derives terms of size n."""
+    if len(p.operands) == 2:
+        return [(i, n - 1 - i) for i in range(1, n - 1)]
+    return [(n - 1,)] if p.operands else [()] if n == 1 else []
 
 
 class Levels:
-    """The terms each nonterminal derives at each exact size, built
-    bottom-up from smaller levels and memoised.
+    """The terms each nonterminal derives at each exact size, in prefix
+    order, built bottom-up from smaller levels.
 
-    With no key, a level holds every distinct term, in no set order.
-    With ``key(term)``, a level of nt keeps, in prefix order, the
-    first term of each key that no smaller term of nt has; larger terms
-    are built from kept terms only, and ``keys`` maps each kept term to
-    its key.  Each derivation is keyed, also of a term that another
-    production derives.  A keyed level is built after the smaller levels
-    of its nonterminal.
+    A level's derivations come from one stream per production and split
+    of the size among its operands, merged by prefix form with ties kept
+    in production and split order.  Each stream is a nested loop over
+    operand levels, so it is in prefix order too: prefix forms compare
+    by operator, then by children left to right.  A split where an
+    operand derives nothing of its size builds no level.
+
+    `at` stores each level it builds; `stream` yields the distinct terms
+    of a level, unkeyed and unstored, building each as it is read.  With
+    ``key(term)``, `at` keeps in a level of nt the first derivation of
+    each key that no smaller term of nt has; larger terms are built from
+    kept terms only, and ``keys`` maps each kept term to its key.  A
+    keyed level is built after the smaller levels of its nonterminal.
     """
 
     def __init__(self, g: Rtg, key=None):
@@ -198,48 +212,49 @@ class Levels:
         self.keys: dict[Term, object] = {}
         self._levels: dict[tuple[str, int], tuple[Term, ...]] = {}
         self._seen: dict[str, set] = {nt: set() for nt in g.nonterminals}
+        self._sized: list[set[str]] = [set()]  # nonterminals deriving each size
 
     def at(self, nt: str, n: int) -> tuple[Term, ...]:
         level = self._levels.get((nt, n))
         if level is None:
             if self._key and n > 1:
                 self.at(nt, n - 1)
-            level = self._levels[(nt, n)] = self._build(nt, n)
+            level = self._levels[(nt, n)] = tuple(
+                self._kept(nt, n) if self._key else self.stream(nt, n))
         return level
 
-    def _build(self, nt: str, n: int) -> tuple[Term, ...]:
-        # a key sees every derivation; without one a set drops repeats
-        found: list[Term] | set[Term] = [] if self._key else set()
-        add = found.append if self._key else found.add
-        for p in self._g.productions(nt):
-            k = len(p.operands)
-            if k == 0:
-                if n == 1:
-                    add(Term(p.op))
-            elif k == 1:
-                if n >= 2:
-                    for c in self.at(p.operands[0], n - 1):
-                        add(Term(p.op, (c,)))
-            else:
-                for i in range(1, n - 1):
-                    lefts = self.at(p.operands[0], i)
-                    if not lefts:
-                        continue
-                    rights = self.at(p.operands[1], n - 1 - i)
-                    for a in lefts:
-                        for b in rights:
-                            add(Term(p.op, (a, b)))
-        if not self._key:
-            return tuple(found)
+    def stream(self, nt: str, n: int) -> Iterator[Term]:
+        # a term derived twice comes out twice in a row: keep the first
+        merged = itertools.groupby(self._derivations(nt, n), to_prefix)
+        return (next(repeats) for _, repeats in merged)
+
+    def _kept(self, nt: str, n: int) -> Iterator[Term]:
         seen = self._seen[nt]
-        kept = []
-        for t in sorted(found, key=to_prefix):
+        for t in self._derivations(nt, n):
             value = self._key(t)
             if value not in seen:
                 seen.add(value)
                 self.keys[t] = value
-                kept.append(t)
-        return tuple(kept)
+                yield t
+
+    def _derivations(self, nt: str, n: int) -> Iterator[Term]:
+        return heapq.merge(*(
+            self._product(p, sizes)
+            for p in self._g.productions(nt) for sizes in _splits(p, n)
+            if all(map(self._derives, p.operands, sizes))), key=to_prefix)
+
+    def _product(self, p: Production, sizes: tuple[int, ...]) -> Iterator[Term]:
+        levels = map(self.at, p.operands, sizes)
+        return (Term(p.op, children) for children in itertools.product(*levels))
+
+    def _derives(self, nt: str, n: int) -> bool:
+        sized = self._sized
+        while len(sized) <= n:
+            m = len(sized)
+            sized.append({name for name, prods in self._g.rules if any(
+                all(o in sized[s] for o, s in zip(p.operands, sizes))
+                for p in prods for sizes in _splits(p, m))})
+        return nt in sized[n]
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Tree grammars: membership, enumeration order, padding, finiteness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 
+from impsynth import grammar as grammar_module
 from impsynth.grammar import (
     GrammarError,
+    Levels,
     Rtg,
     complete_binary_witness,
     embed,
@@ -22,7 +25,9 @@ from impsynth.grammar import (
     to_bin_form,
 )
 from impsynth.semantics import eval_term
-from impsynth.terms import State, Term, VarUniverse, parse_prefix, parse_term, term_size, to_prefix
+from impsynth.terms import (
+    State, Term, VarUniverse, op_info, parse_prefix, parse_term, term_size, to_prefix,
+)
 
 from .conftest import FIXTURES
 from .test_terms import _exprs, _stmts
@@ -137,6 +142,124 @@ def test_enumeration_finite_language_stops():
 
 def test_enumeration_zero_budget():
     assert list(enumerate_terms(EXPR_GRAMMAR, 0)) == []
+
+
+# Order oracle: seeded random grammars against a naive generator that
+# shares no code with `Levels`.  The variables x, x1 and xx test that a
+# name sorts before its extensions; `not` is the one unary operator.
+
+_ORACLE_VARS = ("x", "x1", "xx")
+_ORACLE_NTS = {"E": "expr", "F": "expr", "V": "var", "B": "bool", "S": "stmt"}
+_ORACLE_OPS = {
+    "expr": ["0", "1", "x", "x1", "xx", "+", "-", "*", "/"],
+    "var": list(_ORACLE_VARS),
+    "bool": ["true", "false", "not", "and", "<", "="],
+    "stmt": [":=", "seq", "if", "while"],
+}
+_ORACLE_SLOTS = {"expr": "EFV", "var": "V", "bool": "B", "stmt": "S"}
+_ORACLE_FALLBACK = {"expr": "1", "var": "x", "bool": "true", "stmt": ":= V V"}
+
+
+def _random_grammar(rng, finite: bool) -> Rtg:
+    """Rules for E, F, V, B and S, some production at times twice; in a
+    finite grammar an operand comes after its nonterminal in S B E F V."""
+    order = "SBEFV"
+    rules = []
+    for nt, sort in _ORACLE_NTS.items():
+        ops = _ORACLE_OPS[sort]
+        prods = []
+        for op in rng.sample(ops, rng.randint(1, min(4, len(ops)))):
+            slots = [[o for o in _ORACLE_SLOTS[s.value]
+                      if not finite or order.index(o) > order.index(nt)]
+                     for s in op_info(op).operands]
+            if all(slots):
+                prods.append(" ".join([op] + [rng.choice(s) for s in slots]))
+        if prods and rng.random() < 0.3:
+            prods.append(rng.choice(prods))
+        rules += [f"(rule {nt} ({p}))" for p in prods or [_ORACLE_FALLBACK[sort]]]
+    return parse_grammar(f"(grammar (vars {' '.join(_ORACLE_VARS)})"
+                         f" (start {rng.choice('SBE')}) {' '.join(rules)})")
+
+
+def _naive_terms(g: Rtg, max_size: int | None) -> list[Term]:
+    """L(g) up to max_size (all of it when None), by a fixed point over
+    sets of terms, sorted by (size, prefix form)."""
+    found: dict[str, set[Term]] = {nt: set() for nt in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for nt in g.nonterminals:
+            for p in g.productions(nt):
+                for kids in itertools.product(*(list(found[o]) for o in p.operands)):
+                    if max_size is not None and 1 + sum(term_size(k) for k in kids) > max_size:
+                        continue
+                    t = Term(p.op, kids)
+                    if t not in found[nt]:
+                        found[nt].add(t)
+                        changed = True
+    return sorted(found[g.start], key=lambda t: (term_size(t), to_prefix(t)))
+
+
+def test_enumeration_matches_a_naive_generator_on_random_grammars():
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(["ambiguous", "unary", "finite", "binform", "x and x1"], 0)
+    for i in range(48):
+        g = _random_grammar(rng, finite=i % 4 == 3)
+        # a finite language is read whole; its padded form is infinite
+        for grammar, size in ((g, None if i % 4 == 3 else 6), (to_bin_form(g), 9)):
+            assert size is not None or language_finite(grammar)
+            want = _naive_terms(grammar, size)
+            got = list(enumerate_terms(grammar, size))
+            assert [to_prefix(t) for t in got] == [to_prefix(t) for t in want], \
+                serialize_grammar(grammar)
+            for k in {1, len(want) // 3, len(want) // 2, max(len(want) - 1, 0)}:
+                assert list(itertools.islice(enumerate_terms(grammar, size), k)) == got[:k]
+            ops = {n.op for t in want for n in t.walk()}
+            largest = max(map(term_size, want), default=0)
+            seen["ambiguous"] += language_size(grammar, largest) > len(want)
+            seen["unary"] += "not" in ops
+            seen["finite"] += size is None and bool(want)
+            seen["binform"] += grammar.binform and bool(want)
+            seen["x and x1"] += {"x", "x1"} <= ops
+    assert min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------------------------
+# Lazy levels
+
+LOOPS = parse_grammar((FIXTURES.parent / "bench" / "loops.rtg").read_text())
+
+
+def _recorded_levels(monkeypatch) -> list[Levels]:
+    made = []
+
+    class Recording(Levels):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(grammar_module, "Levels", Recording)
+    return made
+
+
+def test_enumeration_streams_the_start_level(monkeypatch):
+    made = _recorded_levels(monkeypatch)
+    first = list(itertools.islice(enumerate_terms(LOOPS, 11), 2_048))
+    assert term_size(first[-1]) == 11
+    (levels,) = made
+    # S@11 is read, not stored; B@9 and S@9 only pair with the empty S@1
+    assert not {("S", 11), ("S", 9), ("B", 9)} & set(levels._levels)
+    assert ("E", 9) in levels._levels
+
+
+def test_a_split_with_an_empty_side_builds_neither_side():
+    levels = Levels(LOOPS)
+    assert len(levels.at("S", 7)) == language_size(LOOPS, 7) - language_size(LOOPS, 6)
+    # S derives nothing of size 1 or 2, so (seq S@1 S@5), (seq S@5 S@1),
+    # (while B@5 S@1) and the like build no level
+    built = set(levels._levels)
+    assert {("S", 1), ("S", 2), ("S", 5), ("B", 5)}.isdisjoint(built)
+    assert {("S", 3), ("B", 3), ("E", 1), ("V", 1)} <= built
 
 
 # ---------------------------------------------------------------------------

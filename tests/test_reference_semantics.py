@@ -5,8 +5,9 @@ interpreter.
 term's `op` and `children`, keeps states as dicts and shares no code with
 `impsynth.semantics`.  It is loaded here by path as a module object of
 this test alone, with a lower step cap so that diverging runs end fast.
-The sweeps read `bench/loops.rtg` and the fixture grammars on the states
-of the semantics oracle; every file under `bench/` is an input only.
+The sweeps read `bench/loops.rtg`, the fixture grammars and one grammar
+with `-` and `/` on the states of the semantics oracle; every file under
+`bench/` is an input only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 
-from impsynth.grammar import embed, enumerate_terms
+from impsynth.grammar import embed, enumerate_terms, parse_grammar
 from impsynth.semantics import (
     FUEL_EXHAUSTED,
     BoolValue,
@@ -32,6 +33,11 @@ SIZE = 8
 FUEL = 4_000
 STEPS = 2_000  # the reference's cap on node activations
 SAMPLE = 7  # every SAMPLE-th pair that settles has its least fuel compared
+# None of the shared grammars has `-` or `/`; with them a run meets
+# division by zero and negative values
+FAULTING = ("(grammar (vars x y) (start S) (rule S (:= V E)) (rule S (while B S))"
+            " (rule B (< E E)) (rule V x) (rule E 0) (rule E 1) (rule E x)"
+            " (rule E (- E E)) (rule E (/ E E)))")
 
 
 def _load_reference():
@@ -91,26 +97,36 @@ def _least_fuel(t, sigma, top: int) -> int:
 
 
 @functools.cache
-def _sweep() -> tuple:
+def _rows(source: str) -> tuple:
     """(term, its embedding, state, eval_term outcome, reference outcome)
-    for every term of each grammar up to SIZE and every state."""
+    for every term of one grammar (a path under the root, or the text
+    FAULTING) up to SIZE and every state."""
+    g = parse_grammar(source) if source == FAULTING else _grammar(source)
+    states = _states(g.universe)
     rows = []
-    for rel in _GRAMMARS:
-        g = _grammar(rel)
-        states = _states(g.universe)
-        for t in enumerate_terms(g, SIZE):
-            padded = embed(t)
-            for sigma in states:
-                rows.append((t, padded, sigma, eval_term(t, sigma, FUEL),
-                             _reference_outcome(t, sigma)))
+    for t in enumerate_terms(g, SIZE):
+        padded = embed(t)
+        for sigma in states:
+            rows.append((t, padded, sigma, eval_term(t, sigma, FUEL),
+                         _reference_outcome(t, sigma)))
     return tuple(rows)
 
 
+def _sweep() -> tuple:
+    return sum(map(_rows, _GRAMMARS + [FAULTING]), ())
+
+
 def test_sweep_size():
-    rows = _sweep()
+    rows = sum(map(_rows, _GRAMMARS), ())
     settled = [r for r in rows if r[4] is not None]
     # 69 runs diverge: loops whose guard stays true
     assert (len(rows), len(settled)) == (1_305, 1_236)
+    outcomes = [r[4] for r in _rows(FAULTING)]
+    settled = [o for o in outcomes if o is not None]
+    faults = settled.count(("fault",))
+    negative = [o for o in settled if o[0] == "state" and min(v for _, v in o[1]) < 0]
+    # 16 runs diverge
+    assert (len(outcomes), len(settled), faults, len(negative)) == (792, 776, 270, 106)
 
 
 def test_eval_term_agrees_with_the_reference():
