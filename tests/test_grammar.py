@@ -230,7 +230,7 @@ def test_enumeration_matches_a_naive_generator_on_random_grammars():
 LOOPS = parse_grammar((FIXTURES.parent / "bench" / "loops.rtg").read_text())
 
 
-def _recorded_levels(monkeypatch) -> list[Levels]:
+def test_enumeration_streams_the_start_level(monkeypatch):
     made = []
 
     class Recording(Levels):
@@ -239,11 +239,6 @@ def _recorded_levels(monkeypatch) -> list[Levels]:
             made.append(self)
 
     monkeypatch.setattr(grammar_module, "Levels", Recording)
-    return made
-
-
-def test_enumeration_streams_the_start_level(monkeypatch):
-    made = _recorded_levels(monkeypatch)
     first = list(itertools.islice(enumerate_terms(LOOPS, 11), 2_048))
     assert term_size(first[-1]) == 11
     (levels,) = made
