@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Iterable
 
@@ -59,7 +58,6 @@ from .synthesis import (
     CLASSIFY_VARIANTS,
     Realized,
     SynthesisError,
-    SynthesisProblem,
     Unrealizable,
     cegis,
     classify,
@@ -67,12 +65,11 @@ from .synthesis import (
     synthesize,
 )
 from .terms import (
-    RESERVED_WORDS,
+    Sort,
     State,
     Term,
     TermError,
     VarUniverse,
-    is_variable_name,
     parse_state,
     parse_term,
     print_term,
@@ -108,40 +105,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as err:
-        print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
-        raise SystemExit(EX_NOINPUT) from err
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _parse_vars(text: str) -> VarUniverse:
-    names = [p.strip() for p in text.replace(",", " ").split()]
-    if not names:
-        raise _UsageError("--vars must list at least one name")
-    for name in names:
-        if not is_variable_name(name):
-            raise _UsageError(f"bad variable name {name!r}")
-    try:
-        return VarUniverse(tuple(names))
-    except TermError as err:
-        raise _UsageError(str(err)) from err
-
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _infer_universe(program: str) -> VarUniverse:
-    """Universe of a bare program: its identifiers, in appearance order."""
-    names: list[str] = []
-    for match in _IDENT.finditer(program):
-        word = match.group()
-        if word not in RESERVED_WORDS and word not in names:
-            names.append(word)
-    if not names:
-        names = ["x"]
-    return VarUniverse(tuple(names))
+    return VarUniverse(tuple(text.replace(",", " ").split()))
 
 
 def _load_program(args: argparse.Namespace,
@@ -152,9 +121,13 @@ def _load_program(args: argparse.Namespace,
         text = args.text
     else:
         raise _UsageError("give a program with --program FILE or --text TEXT")
+    term = parse_term(text, universe)
     if universe is None:
-        universe = _infer_universe(text)
-    return parse_term(text, universe), universe
+        # a bare program's variables, in preorder: their order of first
+        # appearance in the text
+        names = dict.fromkeys(n.op for n in term.walk() if n.sort is Sort.VAR)
+        universe = VarUniverse(tuple(names) or ("x",))
+    return term, universe
 
 
 def _parse_ints(raw: Iterable[str]) -> list[int]:
@@ -350,14 +323,6 @@ def _cmd_check_cert(args: argparse.Namespace) -> int:
     return 1
 
 
-def _load_problem_checked(path: str) -> SynthesisProblem:
-    try:
-        return load_problem(path)
-    except OSError as err:
-        print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
-        raise SystemExit(EX_NOINPUT) from err
-
-
 def _stats_line(stats) -> str:
     return (f"stats: candidates={stats.candidates} "
             f"evaluations={stats.evaluations} rounds={stats.rounds} "
@@ -382,7 +347,7 @@ def _result_pieces(result) -> tuple[str, int, dict, str]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    problem = _load_problem_checked(args.problem)
+    problem = load_problem(args.problem)
     result = synthesize(problem, args.size_budget, fuel_cap=args.fuel)
     tag, code, fields, line = _result_pieces(result)
     obj = {"result": tag, **fields, "stats": _stats_obj(result.stats)}
@@ -391,7 +356,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_cegis(args: argparse.Namespace) -> int:
-    problem = _load_problem_checked(args.problem)
+    problem = load_problem(args.problem)
     seeds = [_lift_state(parse_state(raw), problem.universe)
              for raw in (args.seed_states or [])]
     result, state = cegis(problem, seeds, args.rounds, args.size_budget,
@@ -594,9 +559,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: nesting too deep: terms this deep are out of reach of "
               "the recursive term walks", file=sys.stderr)
         return EX_INTERNAL
-    except SystemExit:
-        raise
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:
+        if isinstance(err, OSError) and err.filename is not None:
+            print(f"error: cannot read {err.filename}: {err.strerror}",
+                  file=sys.stderr)
+            return EX_NOINPUT
         print(f"internal error: {err}", file=sys.stderr)
         return EX_INTERNAL
     finally:

@@ -31,7 +31,6 @@ from .terms import (
     Sort,
     SortError,
     Term,
-    TermError,
     VarUniverse,
     _read_sexps,
     is_variable_name,
@@ -433,16 +432,12 @@ def complete_binary_witness(g_bin: Rtg, t: Term) -> Term:
 
 
 def is_perfect(t: Term) -> bool:
-    """Every node binary except leaves, all leaves at equal depth."""
-    depths = set()
+    """Every node binary except leaves, all leaves at equal depth.
 
-    def walk(node: Term, d: int) -> bool:
-        if not node.children:
-            depths.add(d)
-            return True
-        return len(node.children) == 2 and all(walk(c, d + 1) for c in node.children)
-
-    return walk(t, 0) and len(depths) == 1
+    No node has more than two children, so a tree of height h is perfect
+    exactly when it has all 2^(h+1) - 1 nodes.
+    """
+    return t.size == 2 ** (term_height(t) + 1) - 1
 
 
 # --------------------------------------------------------------------------

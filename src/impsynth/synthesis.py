@@ -62,39 +62,7 @@ from .terms import (
     VarUniverse,
     _read_sexps,
     term_size,
-    variables_of,
 )
-
-__all__ = [
-    "SynthesisError",
-    "Mode",
-    "Finite",
-    "BoundedBox",
-    "Domain",
-    "SynthesisProblem",
-    "SearchStats",
-    "Realized",
-    "Unrealizable",
-    "BudgetExhausted",
-    "SynthesisResult",
-    "Verified",
-    "CounterexampleFound",
-    "Unknown",
-    "VerifyResult",
-    "CegisState",
-    "verify",
-    "synthesize",
-    "synthesize_pbe",
-    "synthesize_loop_free",
-    "cegis",
-    "example_assignment_problem",
-    "largest_constant",
-    "HierarchyClass",
-    "CLASSIFY_VARIANTS",
-    "classify",
-    "parse_problem",
-    "load_problem",
-]
 
 DEFAULT_FUEL_CAP = 2 ** 16
 _SCAN_CAP = 20_000
@@ -759,25 +727,20 @@ def largest_constant(t: Term) -> int | None:
     """Largest value among constant (variable-free) integer subterms.
 
     Returns None when no subterm is a constant integer expression
-    (faulting constants such as division by zero are skipped).
+    (faulting constants such as division by zero are skipped).  Each
+    subterm's value comes from its children's, in reversed preorder; a
+    widened literal such as ``1(null, null)`` keeps its literal value.
     """
-    best: int | None = None
-    for sub in t.walk():
-        if sub.sort is not Sort.EXPR or variables_of(sub):
-            continue
-        value = _const_value(sub)
-        if value is not None and (best is None or value > best):
-            best = value
-    return best
-
-
-def _const_value(t: Term) -> int | None:
-    if t.op in LITERALS:
-        return LITERALS[t.op]
-    values = [_const_value(c) for c in t.children]
-    if any(v is None for v in values):
-        return None
-    return apply_op(t.op, *values)
+    values: dict[int, int | None] = {}
+    for sub in reversed(list(t.walk())):
+        value = None
+        if sub.sort is Sort.EXPR and sub.op in LITERALS:
+            value = LITERALS[sub.op]
+        elif sub.sort is Sort.EXPR:
+            args = [values[id(c)] for c in sub.children]
+            value = None if None in args else apply_op(sub.op, *args)
+        values[id(sub)] = value
+    return max((v for v in values.values() if v is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +755,6 @@ class HierarchyClass:
     label: str
     note: str
 
-
-CLASSIFY_VARIANTS = (
-    "general",
-    "finite-examples",
-    "loop-free",
-    "partial-correctness",
-    "generalization",
-    "spec-sigma",
-)
 
 _CLASSIFY_TABLE = {
     "general": (
@@ -824,6 +778,8 @@ _CLASSIFY_TABLE = {
         "whether a candidate correct on the examples stays correct on the "
         "whole domain"),
 }
+
+CLASSIFY_VARIANTS = (*_CLASSIFY_TABLE, "spec-sigma")
 
 
 def classify(variant: str, n: int | None = None) -> HierarchyClass:

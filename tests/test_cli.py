@@ -62,6 +62,24 @@ def test_parse_json(run):
     }
 
 
+def test_parse_json_lists_variables_in_order_of_first_appearance(run):
+    # first appearances through while, if, ! and ;, out of sorted order
+    text = "while y < z do if !(x = y) then w := z; b := w"
+    code, out, _ = run("parse", "--json", "--text", text)
+    assert code == 0
+    assert json.loads(out)["vars"] == ["y", "z", "x", "w", "b"]
+    code, out, _ = run("parse", "--json", "--text", "1 + 1")
+    assert (code, json.loads(out)["vars"]) == (0, ["x"])
+
+
+def test_encode_term_numbers_variables_in_order_of_first_appearance(run):
+    text = "while b < a do a := b"
+    bare = run("encode", "--as", "term", "--text", text)
+    assert bare[0] == 0
+    assert run("encode", "--as", "term", "--text", text, "--vars", "b,a") == bare
+    assert run("encode", "--as", "term", "--text", text, "--vars", "a,b") != bare
+
+
 def test_parse_vars_override(run):
     code, _, err = run("parse", "--text", "x + 1", "--vars", "y")
     assert code == 64
@@ -186,6 +204,21 @@ def test_binform_missing_file(run):
     code, _, err = run("binform", "--grammar", "no/such/file.rtg")
     assert code == 66
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--size-budget", "3"),
+    ("cegis", "--rounds", "1", "--size-budget", "3"),
+])
+def test_problem_with_missing_grammar_names_the_grammar_file(run, tmp_path,
+                                                             argv):
+    prob = tmp_path / "lost.prob"
+    prob.write_text("(problem (grammar-file gone.rtg) (mode total)\n"
+                    "  (domain (finite (state x 0))) (spec (= out 1)))\n")
+    code, _, err = run(argv[0], "--problem", str(prob), *argv[1:])
+    assert code == 66
+    assert err.startswith(f"error: cannot read {tmp_path / 'gone.rtg'}: ")
+    assert str(prob) not in err
 
 
 # ---------------------------------------------------------------------------

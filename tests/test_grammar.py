@@ -349,6 +349,30 @@ def test_strip_inverts_embed_statements(t):
     assert strip(e) == t
 
 
+def _perfect_by_levels(t: Term) -> bool:
+    # a perfect binary tree holds 2**d nodes at each depth d
+    level, depth = [t], 0
+    while level:
+        if len(level) != 2 ** depth:
+            return False
+        level, depth = [c for node in level for c in node.children], depth + 1
+    return True
+
+
+def test_is_perfect_matches_level_counts():
+    terms = [*enumerate_terms(EXPR_GRAMMAR, 9), *enumerate_terms(EXPR_BIN, 9)]
+    terms += [embed(strip(t)) for t in terms]
+    terms += [
+        parse_prefix("(not true)"),  # a unary node
+        parse_prefix("(+ (1 null null) x)"),  # leaves at two depths
+        parse_prefix("(+ (+ 1 x) (+ (+ 1 x) 1))"),
+    ]
+    verdicts = [is_perfect(t) for t in terms]
+    assert verdicts == [_perfect_by_levels(t) for t in terms]
+    assert True in verdicts and False in verdicts
+    assert not any(verdicts[-3:])
+
+
 def test_complete_binary_witness():
     uneven = parse_prefix("(+ (1 null null) (x null (nop null null)))")
     witness = complete_binary_witness(EXPR_BIN, uneven)

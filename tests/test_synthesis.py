@@ -36,6 +36,7 @@ from impsynth.synthesis import (
 from impsynth.terms import (
     Sort,
     State,
+    Term,
     VarUniverse,
     parse_prefix,
     parse_term,
@@ -524,6 +525,17 @@ def test_largest_constant():
     assert largest_constant(parse_term("1 / 0")) == 1
     assert largest_constant(parse_term("(1 + 1) * (1 + 1 + 1)")) == 6
     assert largest_constant(parse_term("1 - (0 - 1)")) == 2
+
+
+def test_largest_constant_reads_each_subterm_once():
+    # a 2000-deep numeral chain: no recursion, no re-walk of subterms
+    assert largest_constant(parse_term("x := 2000", X)) == 2000
+    # a widened literal keeps its value; its padding is not read
+    assert largest_constant(Term("1", (Term("null"), Term("null")))) == 1
+    # the faulting quotient is skipped, and the larger constant elsewhere wins
+    xy = VarUniverse.of("x", "y")
+    program = "x := (1 + 1) / 0; y := (1 + 1 + 1) * (0 + 1)"
+    assert largest_constant(parse_term(program, xy)) == 3
 
 
 # ---------------------------------------------------------------------------
