@@ -1,12 +1,12 @@
 """Every name a library module imports is read somewhere in that module."""
 
 import ast
-import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent
-                  / "src" / "impsynth").glob("*.py"))
+from .conftest import FIXTURES
+
+SOURCES = sorted((FIXTURES.parent / "src" / "impsynth").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
