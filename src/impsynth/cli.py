@@ -62,6 +62,7 @@ from .synthesis import (
     cegis,
     classify,
     load_problem,
+    read_text,
     synthesize,
 )
 from .terms import (
@@ -104,11 +105,6 @@ class _Parser(argparse.ArgumentParser):
 # Small input helpers
 
 
-def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _parse_vars(text: str) -> VarUniverse:
     return VarUniverse(tuple(text.replace(",", " ").split()))
 
@@ -116,7 +112,7 @@ def _parse_vars(text: str) -> VarUniverse:
 def _load_program(args: argparse.Namespace,
                   universe: VarUniverse | None) -> tuple[Term, VarUniverse]:
     if getattr(args, "program", None):
-        text = _read_file(args.program)
+        text = read_text(args.program)
     elif getattr(args, "text", None) is not None:
         text = args.text
     else:
@@ -275,7 +271,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_binform(args: argparse.Namespace) -> int:
-    grammar = parse_grammar(_read_file(args.grammar))
+    grammar = parse_grammar(read_text(args.grammar))
     text = serialize_grammar(to_bin_form(grammar))
     _emit(args, {"grammar": text}, [text])
     return 0
@@ -306,7 +302,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_check_cert(args: argparse.Namespace) -> int:
     sigma = parse_state(args.state)
     term, _ = _load_program(args, sigma.universe)
-    raw = _read_file(args.cert).split()
+    raw = read_text(args.cert).split()
     a, b, length = _parse_numbers(raw, 3, "certificate file")
     try:
         enc = EncodedTree(BetaPair(a, b, length), heap_height(length))

@@ -846,11 +846,7 @@ def parse_problem(text: str, grammar_loader=None) -> SynthesisProblem:
     grammar_section = sections["grammar-file"]
     if len(grammar_section) != 1 or not isinstance(grammar_section[0], str):
         raise SynthesisError("(grammar-file ...) takes one file name")
-    if grammar_loader is None:
-        def grammar_loader(name: str) -> str:
-            with open(name, encoding="utf-8") as handle:
-                return handle.read()
-    grammar = parse_grammar(grammar_loader(grammar_section[0]))
+    grammar = parse_grammar((grammar_loader or read_text)(grammar_section[0]))
 
     mode_section = sections["mode"]
     if len(mode_section) != 1 or mode_section[0] not in ("total", "partial"):
@@ -921,14 +917,19 @@ def _parse_int(raw: object) -> int:
     raise SynthesisError(f"expected an integer, got {raw!r}")
 
 
+def read_text(path: str) -> str:
+    """Text of a UTF-8 file; any other bytes are a SynthesisError that
+    names the file.  Every input file of the library and the CLI is read
+    here."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise SynthesisError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def load_problem(path: str) -> SynthesisProblem:
     """Read a problem file; the grammar file is resolved next to it."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     base = os.path.dirname(os.path.abspath(path))
-
-    def loader(name: str) -> str:
-        with open(os.path.join(base, name), encoding="utf-8") as handle:
-            return handle.read()
-
-    return parse_problem(text, loader)
+    return parse_problem(read_text(path),
+                         lambda name: read_text(os.path.join(base, name)))

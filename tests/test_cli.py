@@ -104,6 +104,14 @@ def test_run_outcomes(run):
     assert (code, out) == (0, "fuel-exhausted\n")
 
 
+@pytest.mark.parametrize("text", ["while true do x := 0",
+                                  "while x < 1 do y := 1 - y"])
+def test_run_cycling_loop_at_huge_fuel(run, text):
+    # the guard state repeats, so the run stops long before its fuel
+    assert run("run", "--text", text, "--state", "x=0,y=0",
+               "--fuel", "1000000000000") == (0, "fuel-exhausted\n", "")
+
+
 def test_run_json_state(run):
     code, out, _ = run("run", "--json", "--text", "x := x + y",
                        "--state", "x=3,y=4")
@@ -204,6 +212,40 @@ def test_binform_missing_file(run):
     code, _, err = run("binform", "--grammar", "no/such/file.rtg")
     assert code == 66
     assert "cannot read" in err
+
+
+# invalid UTF-8: a lone continuation byte, an overlong "/" and a byte that
+# never occurs
+NOT_UTF8 = b"x := 1 \x80 \xc0\xaf \xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "--program", "{F}"),
+    ("run", "--program", "{F}", "--state", "x=0"),
+    ("binform", "--grammar", "{F}"),
+    ("synth", "--problem", "{F}", "--size-budget", "3"),
+    ("cegis", "--problem", "{F}", "--rounds", "1", "--size-budget", "3"),
+    ("check-cert", "--cert", "{F}", "--text", "x", "--state", "x=0"),
+])
+def test_file_not_utf8_is_malformed_input(run, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(*(a.replace("{F}", str(bad)) for a in argv))
+    assert (code, out) == (64, "")
+    assert err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "cegis --rounds 1"])
+def test_problem_with_grammar_not_utf8_names_the_grammar_file(run, tmp_path,
+                                                              command):
+    (tmp_path / "bad.rtg").write_bytes(NOT_UTF8)
+    prob = tmp_path / "bad_grammar.prob"
+    prob.write_text("(problem (grammar-file bad.rtg) (mode total)\n"
+                    "  (domain (finite (state x 0))) (spec (= out 1)))\n")
+    code, _, err = run(*command.split(), "--problem", str(prob),
+                       "--size-budget", "3")
+    assert code == 64
+    assert err == f"error: cannot read {tmp_path / 'bad.rtg'}: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -40,16 +40,17 @@ FAULTING = ("(grammar (vars x y) (start S) (rule S (:= V E)) (rule S (while B S)
             " (rule E (- E E)) (rule E (/ E E)))")
 
 
-def _load_reference():
+def _load_reference(steps: int):
+    """A fresh module object of the reference with its own step cap."""
     spec = importlib.util.spec_from_file_location(
-        "reference_semantics_oracle", ROOT / "bench" / "oracle.py")
+        f"reference_semantics_oracle_{steps}", ROOT / "bench" / "oracle.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.MAX_STEPS = STEPS
+    module.MAX_STEPS = steps
     return module
 
 
-reference = _load_reference()
+reference = _load_reference(STEPS)
 
 
 def _plain(v) -> tuple:

@@ -110,6 +110,76 @@ def test_divergence_exhausts_any_fuel():
         assert eval_term(t, State(X, (0,)), fuel) is FUEL_EXHAUSTED
 
 
+# ---------------------------------------------------------------------------
+# A loop that comes back to a guard state diverges at every fuel.  The
+# interpreter stops it at the first repeat it sees, so these runs end at
+# any fuel; without the repeat check they would run for 10**12 units.
+
+HUGE = 10 ** 12
+
+
+def _orbit(guard: Term, body: Term, sigma: State) -> tuple[int, int]:
+    """(tail, cycle) of the guard states of `while guard do body` from
+    sigma, stepped one body run at a time; the guard holds throughout."""
+    seen: dict[State, int] = {}
+    while sigma not in seen:
+        assert eval_term(guard, sigma, 100) == BoolValue(True)
+        seen[sigma] = len(seen)
+        sigma = eval_term(body, sigma, 100).state
+    return seen[sigma], len(seen) - seen[sigma]
+
+
+def test_cycling_loop_exhausts_huge_fuel():
+    t = parse_term("while true do x := 0", X)
+    for x in (0, 7):
+        assert eval_term(t, State(X, (x,)), HUGE) is FUEL_EXHAUSTED
+
+
+@pytest.mark.parametrize("text,values,orbit", [
+    # x runs -3, -2, -1, 0, then 1, 2, 3 for ever
+    ("while true do (x := x + 1; if 3 < x then x := 1)", {"x": -3}, (4, 3)),
+    ("while x < 5 do (x := x + 1; if 3 < x then x := 1)", {"x": -3}, (4, 3)),
+    # y toggles while x climbs to 2 and stays
+    ("while y < 2 do (y := 1 - y; if x < 2 then x := x + 1)", {"x": 0}, (2, 2)),
+    # x climbs to 0 and then counts modulo 4, y counts modulo 7 from the
+    # start: 28 states, reached after 5 steps
+    ("while true do (x := x + 1; if 3 < x then x := 0; y := y + 1;"
+     " if 6 < y then y := 0)", {"x": -5}, (5, 28)),
+])
+def test_tail_and_cycle_longer_than_one(text, values, orbit):
+    t = parse_term(text, XY)
+    sigma = State.of(XY, values)
+    assert _orbit(*t.children, sigma) == orbit
+    for fuel in (0, 10, 1000, HUGE):
+        assert eval_term(t, sigma, fuel) is FUEL_EXHAUSTED
+
+
+def test_inner_cycle_inside_outer_loop():
+    # the inner loop's guard first holds on the third outer iteration,
+    # and then y toggles between 0 and 1 for ever
+    t = parse_term("while x < 3 do (x := x + 1; while 2 < x do y := 1 - y)", XY)
+    sigma = State.of(XY, {})
+    assert eval_term(t, sigma, HUGE) is FUEL_EXHAUSTED
+    # from x=3 neither loop runs an iteration
+    three = State.of(XY, {"x": 3})
+    assert eval_term(t, three, HUGE) == StateOut(three)
+    # the same loop as the body of a traced loop
+    guard, body = parse_term("while x < 9 do (x := x + 1; while 2 < x do y := 1 - y)",
+                             XY).children
+    assert loop_trace(guard, body, sigma, HUGE) is FUEL_EXHAUSTED
+
+
+def test_long_terminating_loop_settles_at_its_least_fuel():
+    # 1 (loop node) + 5001 guards * 3 nodes + 5000 bodies * 5 nodes
+    #   + 5000 completed iterations = 45004; no guard state repeats
+    t = parse_term("while x < y do x := x + 1", XY)
+    sigma = State.of(XY, {"y": 5000})
+    done = StateOut(State.of(XY, {"x": 5000, "y": 5000}))
+    assert eval_term(t, sigma, 45004) == done
+    assert eval_term(t, sigma, HUGE) == done
+    assert eval_term(t, sigma, 45003) is FUEL_EXHAUSTED
+
+
 def test_fault_inside_loop():
     t = parse_term("while x < 1 do x := x / 0", X)
     assert eval_term(t, State(X, (0,)), 100) == Fault("div0")
