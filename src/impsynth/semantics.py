@@ -7,14 +7,12 @@ unit per completed loop iteration.  Padding subtrees are never executed
 and never charged, which keeps the fuel use of a padded term identical
 to that of the term it was padded from.
 
-A `while` run that comes back to a guard state it already had diverges
-at every fuel: evaluation is deterministic and the guard held there.  So
-the loop rule stops such a run at once, as out of fuel, the outcome it
-has at every fuel.  It finds the repeat by Brent's cycle detection (BIT
-20, 1980): it keeps the guard state after 0, 1, 3, 7, 15, ...
-iterations and compares each later one with it.  That is one saved state and one
-comparison per iteration, and a repeat is seen within about twice the
-loop's tail plus its cycle.  No other outcome changes.
+A `while` run that comes back to a guard state it already had diverges:
+evaluation is deterministic and the guard held there.  The loop rule
+stops such a run at once, as out of fuel, its outcome at every fuel.  It
+finds the repeat by Brent's cycle detection (BIT 20, 1980): one state
+saved after 0, 1, 3, 7, ... iterations, one comparison per iteration,
+and a repeat seen within about twice the loop's tail plus its cycle.
 
 The dummy value is `terms.EMPTY`.  Padding nodes (`nop`, `null`) yield
 it, and widened nullary and unary operators ignore their padding slots
@@ -214,8 +212,7 @@ def _if(t, sigma, budget):
 
 
 def _while(t, sigma, budget):
-    # `seen` is the guard state after 0, 1, 3, 7, ... iterations (module
-    # docstring); `left` counts the iterations to the next replacement
+    # `seen`: the guard state after 0, 1, 3, 7, ... iterations (docstring)
     guard, body = t.children
     seen, lap, left = sigma.values, 1, 1
     while _run(guard, sigma, budget):
