@@ -1,11 +1,11 @@
 """Loops that come back to a guard state, against two independent judges.
 
-The interpreter stops a `while` run at the first guard state it sees
-again (`semantics._while`) and reports it as out of fuel.  Here a stepper
-of this test's own, which keeps every guard state of every loop run in a
-set, finds the runs whose guard state repeats within ITERATIONS loop
-iterations on the terms of `bench/loops.rtg` and `fixtures/looping.rtg`
-over seeded states.  Each such run must be out of fuel at 10**12, and the
+The interpreter stops a `while` run that comes back to a guard state it
+already had (`semantics._while`) and reports it as out of fuel.  Here a
+stepper of this test's own, which keeps every guard state of every loop
+run in a set, finds the runs whose guard state repeats within ITERATIONS
+loop iterations on the terms of `bench/loops.rtg` and
+`fixtures/looping.rtg` over seeded states.  Each such run must be out of fuel at 10**12, and the
 benchmark's interpreter (`bench/oracle.py`) must not settle it within
 STEPS steps.  Every other run must agree with that interpreter, as in
 `tests/test_reference_semantics.py`.
@@ -13,7 +13,7 @@ STEPS steps.  Every other run must agree with that interpreter, as in
 Every repeat in this sweep comes by a loop run's second iteration.  A run
 that never repeats is stopped after ITERATIONS, not more: many of them
 double a value each iteration, and at 10,000 iterations their big
-integers made this file take about 6 s.
+integers made this file take about 6 s, against under 2 s at 1,000.
 """
 
 from __future__ import annotations
